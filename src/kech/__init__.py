@@ -12,8 +12,6 @@ from .census import (
     boundary_matrix,
     generators_of_grading,
     generators_up_to_action,
-    load_slice,
-    save_slice,
 )
 from .diff import Chain, c_op, d_op, differential, rehull, round_interior
 from .homology import betti, d_squared_report, gf2_rank, stabilized_betti

@@ -10,24 +10,12 @@ lower bound for the final grading.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import sqrt
 
 from .diff import differential
-from .paths import (
-    EdgeGroup,
-    KLatticePath,
-    action,
-    build_path,
-    format_path,
-    grading,
-    parse_path,
-    validate,
-)
-
-_TOL = 1e-9
+from .paths import TOL, EdgeGroup, build_path, format_path
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,7 @@ def scan_generators(max_action: float, emit, max_grading=None,
     dirs = _directions(dir_cap)
     norms = [sqrt(q * q + p * p) for q, p in dirs]
     ndirs = len(dirs)
-    budget = max_action + _TOL
+    budget = max_action + TOL
 
     def close(sp, ep, chosen, used, x, sum_tp, sum_t, inner2a):
         if (x + sp + ep) % 2 != 0:
@@ -184,11 +172,8 @@ def generators_of_grading(k: int, max_action: float) -> tuple:
     return generators_up_to_action(max_action, max_grading=k).generators(k)
 
 
-def boundary_matrix(k: int, max_action: float) -> BitMatrix:
-    """Matrix of the differential from grading k to k-1 within the slice."""
-    sl = generators_up_to_action(max_action, max_grading=k)
-    rows = sl.generators(k - 1)
-    cols = sl.generators(k)
+def boundary_columns(rows, cols) -> BitMatrix:
+    """Matrix of the differential from the generators cols into rows."""
     index = {p: i for i, p in enumerate(rows)}
     columns = []
     for col in cols:
@@ -200,50 +185,10 @@ def boundary_matrix(k: int, max_action: float) -> BitMatrix:
                     % (format_path(col), format_path(term)))
             bits |= 1 << index[term]
         columns.append(bits)
-    return BitMatrix(rows, cols, tuple(columns))
+    return BitMatrix(tuple(rows), tuple(cols), tuple(columns))
 
 
-# ---------------------------------------------------------------------------
-# Cache files
-
-_CACHE_VERSION = "kech-cache v1"
-
-
-def save_slice(sl: ComplexSlice, file_path) -> None:
-    """Write a slice to the versioned one-spec-per-line cache format."""
-    lines = ["%s L=%r" % (_CACHE_VERSION, sl.action_bound)]
-    lines.extend(format_path(p) for p in sl.all_generators())
-    with open(file_path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_slice(file_path, max_action: float):
-    """Load a cached slice; None (with a warning) on any mismatch."""
-    try:
-        with open(file_path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        return None
-    try:
-        if not lines:
-            raise ValueError("empty cache file")
-        header = lines[0]
-        prefix = _CACHE_VERSION + " L="
-        if not header.startswith(prefix):
-            raise ValueError("bad cache header")
-        if float(header[len(prefix):]) != float(max_action):
-            raise ValueError("cache action bound mismatch")
-        per_degree = {}
-        for line in lines[1:]:
-            path = parse_path(line)
-            validate(path)
-            if not action(path) <= max_action + _TOL:
-                raise ValueError("cached generator exceeds action bound")
-            per_degree.setdefault(grading(path), []).append(path)
-        for k in per_degree:
-            per_degree[k] = tuple(sorted(per_degree[k], key=format_path))
-        return ComplexSlice(float(max_action), per_degree)
-    except (ValueError, KeyError) as exc:
-        print("warning: ignoring cache %s (%s)" % (file_path, exc),
-              file=sys.stderr)
-        return None
+def boundary_matrix(k: int, max_action: float) -> BitMatrix:
+    """Matrix of the differential from grading k to k-1 within the slice."""
+    sl = generators_up_to_action(max_action, max_grading=k)
+    return boundary_columns(sl.generators(k - 1), sl.generators(k))

@@ -10,14 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 
-from .census import generators_up_to_action, load_slice, save_slice
+from .census import generators_up_to_action
 from .diff import differential
 from .homology import betti, d_squared_report
 from .paths import (
+    TOL,
     PathError,
     action,
     format_path,
@@ -27,7 +29,7 @@ from .paths import (
     total_class,
     validate,
 )
-from .spectrum import capacity, weyl_series
+from .spectrum import capacity, capacity_series, weyl_series
 from .toric import (
     embedding_obstructed,
     format_convex_generator,
@@ -60,8 +62,6 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class RunConfig:
     tolerance: float
-    threads: int
-    cache_dir: str | None
     output_format: str
 
 
@@ -70,11 +70,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--format", choices=("table", "json", "csv"),
                         default="table", help="output format")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="numeric tolerance (default 1e-9)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint; orchestration stays deterministic")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for enumeration slice caches")
+                        help="numeric tolerance (default %g)" % TOL)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
@@ -141,16 +137,10 @@ def _resolve_config(args, parser: _Parser) -> RunConfig:
                          % (name, raw, cast.__name__))
 
     tol = args.tolerance if args.tolerance is not None else \
-        from_env("KECH_TOLERANCE", float, 1e-9)
-    threads = args.threads if args.threads is not None else \
-        from_env("KECH_THREADS", int, 1)
-    cache = args.cache_dir if args.cache_dir is not None else \
-        os.environ.get("KECH_CACHE") or None
-    if not tol > 0:
-        parser.error("tolerance must be positive")
-    if threads < 1:
-        parser.error("threads must be >= 1")
-    return RunConfig(tol, threads, cache, args.format)
+        from_env("KECH_TOLERANCE", float, TOL)
+    if not (tol > 0 and math.isfinite(tol)):
+        parser.error("tolerance must be positive and finite")
+    return RunConfig(tol, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +182,14 @@ def _cmd_diff(args, config):
     return (("spec", "grading", "action"), rows, EXIT_OK)
 
 
-def _slice_for(max_action: float, cache_dir):
-    if max_action <= 0:
-        raise ValueError("action bound must be positive")
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        file_path = os.path.join(cache_dir, "slice-%r.txt" % max_action)
-        if os.path.exists(file_path):
-            cached = load_slice(file_path, max_action)
-            if cached is not None:
-                return cached
-        sl = generators_up_to_action(max_action)
-        save_slice(sl, file_path)
-        return sl
-    return generators_up_to_action(max_action)
+def _action_bound(args) -> float:
+    if not (args.max_action > 0 and math.isfinite(args.max_action)):
+        raise ValueError("action bound must be positive and finite")
+    return args.max_action
 
 
 def _cmd_enumerate(args, config):
-    sl = _slice_for(args.max_action, config.cache_dir)
+    sl = generators_up_to_action(_action_bound(args))
     rows = []
     for degree in sl.degrees():
         if args.grading is not None and degree != args.grading:
@@ -221,9 +201,7 @@ def _cmd_enumerate(args, config):
 
 
 def _cmd_d2check(args, config):
-    if args.max_action <= 0:
-        raise ValueError("action bound must be positive")
-    violations = d_squared_report(args.max_action)
+    violations = d_squared_report(_action_bound(args))
     rows = [{"spec": spec, "survivor": surv}
             for spec, survivors in violations for surv in survivors]
     return (("spec", "survivor"), rows,
@@ -231,11 +209,10 @@ def _cmd_d2check(args, config):
 
 
 def _cmd_homology(args, config):
-    if args.max_action <= 0:
-        raise ValueError("action bound must be positive")
+    max_action = _action_bound(args)
     if args.max_degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    rows = [{"degree": k, "betti": betti(k, args.max_action)}
+    rows = [{"degree": k, "betti": betti(k, max_action)}
             for k in range(args.max_degree + 1)]
     return (("degree", "betti"), rows, EXIT_OK)
 
@@ -247,16 +224,13 @@ def _cmd_capacity(args, config):
         start = args.k if args.k is not None else 0
         if start < 0 or args.kmax < start:
             raise ValueError("need 0 <= k <= kmax")
-        indices = range(start, args.kmax + 1)
+        results = capacity_series(args.kmax)[start:]
     else:
         if args.k < 0:
             raise ValueError("capacity index must be nonnegative")
-        indices = (args.k,)
-    rows = []
-    for k in indices:
-        result = capacity(k)
-        rows.append({"k": result.k, "value": result.value,
-                     "witness": format_path(result.witness)})
+        results = [capacity(args.k)]
+    rows = [{"k": result.k, "value": result.value,
+             "witness": format_path(result.witness)} for result in results]
     return (("k", "value", "witness"), rows, EXIT_OK)
 
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from .census import BitMatrix, boundary_matrix, generators_up_to_action
+from .census import BitMatrix, boundary_columns, generators_up_to_action
 from .diff import differential
-from .paths import format_path
+from .paths import TOL, format_path
 
 
 def gf2_rank(matrix: BitMatrix) -> int:
@@ -55,27 +55,9 @@ def betti(k: int, max_action: float) -> int:
     if k < 0:
         raise ValueError("grading must be nonnegative")
     sl = generators_up_to_action(max_action, max_grading=k + 1)
-    rows_k = sl.generators(k - 1)
     cols_k = sl.generators(k)
-    cols_up = sl.generators(k + 1)
-    index_k = {p: i for i, p in enumerate(rows_k)}
-    index_up = {p: i for i, p in enumerate(cols_k)}
-
-    def matrix(rows_index, cols):
-        columns = []
-        for col in cols:
-            bits = 0
-            for term in differential(col):
-                if term not in rows_index:
-                    raise AssertionError(
-                        "differential left the action slice: %s -> %s"
-                        % (format_path(col), format_path(term)))
-                bits |= 1 << rows_index[term]
-            columns.append(bits)
-        return BitMatrix(tuple(rows_index), tuple(cols), tuple(columns))
-
-    rank_down = gf2_rank(matrix(index_k, cols_k))
-    rank_up = gf2_rank(matrix(index_up, cols_up))
+    rank_down = gf2_rank(boundary_columns(sl.generators(k - 1), cols_k))
+    rank_up = gf2_rank(boundary_columns(cols_k, sl.generators(k + 1)))
     return (len(cols_k) - rank_down) - rank_up
 
 
@@ -95,7 +77,7 @@ def stabilized_betti(k: int, max_bound: float = 32.0):
         return memo[bound]
 
     bound = 4.0
-    while bound <= max_bound + 1e-9:
+    while bound <= max_bound + TOL:
         value = at(bound)
         if at(2 * bound) == value and at(4 * bound) == value:
             return (value, bound)

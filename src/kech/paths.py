@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+#: Absolute tolerance for comparing floating-point actions.
+TOL = 1e-9
+
 
 class PathError(ValueError):
     """Base error for malformed path specs or invalid paths."""

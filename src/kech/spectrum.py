@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import pi, sqrt
 
 from .census import build_generator, scan_generators
-from .paths import EMPTY_PATH, KLatticePath, action, format_path
+from .paths import EMPTY_PATH, TOL, KLatticePath, action, format_path
 
 #: Reference contact volume of the unit cotangent bundle: the coordinate
 #: torus has volume 2*pi^2 per unit angle band, and the orientation double
@@ -46,11 +46,11 @@ def _bucket_minima(kmax: int):
             if k > kmax:
                 return
             incumbent = best.get(k)
-            if incumbent is not None and total > incumbent[0] + 1e-9:
+            if incumbent is not None and total > incumbent[0] + TOL:
                 return
             path = build_generator(sp, ep, m, n, chosen, marked)
             spec = format_path(path)
-            if incumbent is None or total < incumbent[0] - 1e-9:
+            if incumbent is None or total < incumbent[0] - TOL:
                 best[k] = (total, spec, path)
             elif spec < incumbent[1]:
                 best[k] = (min(total, incumbent[0]), spec, path)

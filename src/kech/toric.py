@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, isfinite
 
 from .paths import (
+    TOL,
     EdgeGroup,
     KLatticePath,
     action,
@@ -35,8 +36,6 @@ from .paths import (
     up_run,
     validate,
 )
-
-_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +176,15 @@ class ToricDomain:
 
     @classmethod
     def ball(cls, r: float) -> "ToricDomain":
-        if not r > 0:
-            raise ValueError("ball radius must be positive")
+        if not (r > 0 and isfinite(r)):
+            raise ValueError("ball radius must be positive and finite")
         r = float(r)
         return cls("ball", (r,), ((0.0, 0.0), (r, 0.0), (0.0, r)))
 
     @classmethod
     def ellipsoid(cls, a: float, b: float) -> "ToricDomain":
-        if not (a > 0 and b > 0):
-            raise ValueError("ellipsoid axes must be positive")
+        if not (a > 0 and b > 0 and isfinite(a) and isfinite(b)):
+            raise ValueError("ellipsoid axes must be positive and finite")
         return cls("ellipsoid", (float(a), float(b)),
                    ((0.0, 0.0), (float(a), 0.0), (0.0, float(b))))
 
@@ -195,7 +194,9 @@ class ToricDomain:
         if not pts:
             raise ValueError("polygon needs at least one vertex")
         for x, y in pts:
-            if x < -_TOL or y < -_TOL:
+            if not (isfinite(x) and isfinite(y)):
+                raise ValueError("polygon vertex must be finite")
+            if x < -TOL or y < -TOL:
                 raise ValueError("polygon vertex outside the first quadrant")
         return cls("polygon", tuple(pts), _hull_with_origin(pts))
 
@@ -276,7 +277,7 @@ def toric_multiplicity(path: KLatticePath) -> int:
 
 
 def leq_relation(cg: ConvexGenerator, path: KLatticePath, domain: ToricDomain,
-                 tol: float = _TOL) -> bool:
+                 tol: float = TOL) -> bool:
     """Grading equality + action inequality + point-count inequality."""
     if cg_grading(cg) != grading(path):
         return False
@@ -540,7 +541,7 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound,
 
 
 def admissible_min_action(domain: ToricDomain, i_target: int, xy_bound,
-                          tol: float = _TOL):
+                          tol: float = TOL):
     """Least action among convex generators with the given grading, an even
     h count, and x + y - h/2 >= xy_bound; (inf, None) when infeasible."""
     return _min_action_search(domain, i_target, xy_bound, True, tol)
@@ -552,7 +553,7 @@ def toric_capacity_detail(domain: ToricDomain, k: int):
         raise ValueError("capacity index must be nonnegative")
     if k == 0:
         return 0.0, EMPTY_CONVEX
-    value, wit = _min_action_search(domain, 2 * k, 0, False, _TOL)
+    value, wit = _min_action_search(domain, 2 * k, 0, False, TOL)
     if wit is None:
         raise AssertionError("toric capacity search lost its own seed family")
     return value, wit
@@ -568,7 +569,7 @@ def ech_capacity_toric(domain: ToricDomain, k: int) -> float:
 
 
 def embedding_obstructed(domain: ToricDomain, path: KLatticePath,
-                         tol: float = _TOL) -> bool:
+                         tol: float = TOL) -> bool:
     """True when no factorization admits a compatible convex generator for
     every factor: each factor needs one of equal grading, no larger action,
     and enough boundary lattice points."""

@@ -9,8 +9,6 @@ from kech.census import (
     boundary_matrix,
     generators_of_grading,
     generators_up_to_action,
-    load_slice,
-    save_slice,
 )
 from kech.diff import differential
 from kech.paths import action, format_path, grading, h_count, parse_path
@@ -117,39 +115,3 @@ def test_boundary_matrix_column_weight_of_worked_example():
     cols = [format_path(p) for p in generators_of_grading(2, 3.0)]
     j = cols.index("h(1,-1);h(1,1)")
     assert bin(m.columns[j]).count("1") == 3
-
-
-def test_cache_round_trip(tmp_path):
-    sl = generators_up_to_action(3.5)
-    target = tmp_path / "slice.txt"
-    save_slice(sl, target)
-    back = load_slice(target, 3.5)
-    assert back is not None
-    assert back.action_bound == sl.action_bound
-    assert {format_path(p) for p in back.all_generators()} == \
-        {format_path(p) for p in sl.all_generators()}
-    for k in sl.degrees():
-        assert back.generators(k) == sl.generators(k)
-
-
-def test_cache_rejects_wrong_bound(tmp_path, capsys):
-    sl = generators_up_to_action(3.0)
-    target = tmp_path / "slice.txt"
-    save_slice(sl, target)
-    assert load_slice(target, 4.0) is None
-    capsys.readouterr()
-
-
-def test_cache_rejects_corruption(tmp_path, capsys):
-    sl = generators_up_to_action(3.0)
-    target = tmp_path / "slice.txt"
-    save_slice(sl, target)
-    text = target.read_text()
-    target.write_text(text.replace("e(1,0)", "e(9,9)", 1))
-    assert load_slice(target, 3.0) is None
-    err = capsys.readouterr().err
-    assert "cache" in err.lower()
-
-
-def test_cache_missing_file(tmp_path):
-    assert load_slice(tmp_path / "absent.txt", 3.0) is None

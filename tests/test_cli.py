@@ -147,6 +147,21 @@ def test_cap_toric_bad_domain_exits_input(capsys):
     assert "unknown domain kind" in err
 
 
+def test_nonfinite_domain_exits_input(capsys):
+    for domain in ("ball:inf", "polygon:nan,1;1,0"):
+        code, out, err = run(capsys, "cap-toric", "--domain", domain, "--k", "1")
+        assert code == EXIT_INPUT, domain
+        assert out == "" and "finite" in err
+
+
+def test_nonfinite_action_bound_exits_input(capsys):
+    for command in (["enumerate"], ["d2check"], ["homology", "--max-degree", "2"]):
+        for bound in ("inf", "nan", "-inf", "0"):
+            code, out, err = run(capsys, *command, "--max-action=" + bound)
+            assert code == EXIT_INPUT, (command, bound)
+            assert out == "" and "action bound" in err
+
+
 def test_gromov_rows(capsys):
     code, out, _ = run(capsys, "--format", "csv", "gromov", "--kmax", "2")
     assert code == EXIT_OK
@@ -181,40 +196,6 @@ def test_missing_required_option_exits_usage(capsys):
     capsys.readouterr()
 
 
-def test_cache_dir_saves_and_reuses(tmp_path, capsys):
-    argv = ["--cache-dir", str(tmp_path), "--format", "csv",
-            "enumerate", "--max-action", "3"]
-    code, first, _ = run(capsys, *argv)
-    assert code == EXIT_OK
-    cache_file = tmp_path / "slice-3.0.txt"
-    assert cache_file.exists()
-    stamp = cache_file.stat().st_mtime_ns
-    code, second, err = run(capsys, *argv)
-    assert code == EXIT_OK
-    assert second == first
-    assert cache_file.stat().st_mtime_ns == stamp
-    assert err == ""
-
-
-def test_cache_corruption_recovers_with_warning(tmp_path, capsys):
-    argv = ["--cache-dir", str(tmp_path), "--format", "csv",
-            "enumerate", "--max-action", "3"]
-    code, first, _ = run(capsys, *argv)
-    cache_file = tmp_path / "slice-3.0.txt"
-    cache_file.write_text("garbage\n")
-    code, again, err = run(capsys, *argv)
-    assert code == EXIT_OK
-    assert again == first
-    assert "cache" in err.lower()
-
-
-def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KECH_CACHE", str(tmp_path))
-    code, _, _ = run(capsys, "enumerate", "--max-action", "3")
-    assert code == EXIT_OK
-    assert (tmp_path / "slice-3.0.txt").exists()
-
-
 def test_env_tolerance_must_parse(capsys, monkeypatch):
     monkeypatch.setenv("KECH_TOLERANCE", "soup")
     with pytest.raises(SystemExit) as exc:
@@ -224,8 +205,8 @@ def test_env_tolerance_must_parse(capsys, monkeypatch):
 
 
 def test_flag_overrides_bad_env(capsys, monkeypatch):
-    monkeypatch.setenv("KECH_THREADS", "soup")
-    code, _, _ = run(capsys, "--threads", "2", "validate", "0")
+    monkeypatch.setenv("KECH_TOLERANCE", "soup")
+    code, _, _ = run(capsys, "--tolerance", "1e-9", "validate", "0")
     assert code == EXIT_OK
 
 
@@ -233,4 +214,24 @@ def test_nonpositive_tolerance_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--tolerance", "0", "validate", "0"])
     assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_nonfinite_tolerance_rejected(capsys, monkeypatch):
+    for argv in (["--tolerance", "inf"], ["--tolerance", "nan"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["validate", "0"])
+        assert exc.value.code == EXIT_USAGE, argv
+    monkeypatch.setenv("KECH_TOLERANCE", "inf")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "0"])
+    assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_removed_threads_and_cache_dir_flags_exit_usage(capsys):
+    for argv in (["--threads", "2"], ["--cache-dir", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["validate", "0"])
+        assert exc.value.code == EXIT_USAGE, argv
     capsys.readouterr()

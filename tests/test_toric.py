@@ -169,7 +169,9 @@ def test_parse_domain_round_trip():
 
 def test_parse_domain_errors():
     for bad in ("ball", "ball:x", "ball:-1", "cube:1", "polygon:",
-                "ellipsoid:1", "ellipsoid:0,1", "polygon:1", "ball:1,2"):
+                "ellipsoid:1", "ellipsoid:0,1", "polygon:1", "ball:1,2",
+                "ball:inf", "ball:nan", "ellipsoid:1,inf",
+                "polygon:nan,1;1,0", "polygon:inf,0"):
         with pytest.raises(ValueError):
             parse_domain(bad)
 
