@@ -11,14 +11,17 @@ against a domain sums mult * support(b, a) over classes.
 The obstruction pipeline matches convex generators against chain-complex
 generators of equal grading through an action inequality and the point-count
 inequality x + y - h/2 >= pairs + toricMult - 1.  Minimization over convex
-generators is an exhaustive concave-path search with two sound prunes: the
-partial lattice count can only grow, and the partial action can only grow.
+generators is an exhaustive concave-path search pruned by three monotone
+quantities: the doubled lattice count and the partial action only grow along
+a branch, and the boundary slack 2(x + y) - doubled count only falls.  Each
+loop that makes children breaks at the first child that fails a bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, inf, isfinite
 
 from .paths import (
@@ -374,18 +377,22 @@ def factorizations(path: KLatticePath):
 
 
 def _pool_by_height(domain: ToricDomain, i_target: int):
-    """Sloped primitive classes usable at this grading, bucketed by b.
+    """Sloped primitive classes usable at this grading, in ascending height b.
 
     A lone sloped class (a, b) already encloses (ab + a + b + 3) / 2 lattice
     points, and the enclosed count only grows as classes are added, so
     classes with ab + a + b beyond the grading budget can never appear.
-    Returns {b: (ascending a list, aligned support costs)}.
+    Returns [(b, alist, costs, floors, least)]: the ascending a list, the
+    aligned support costs, their suffix minima floors[i] = min(costs[i:]),
+    and least, the smallest cost at height b or above.  The minima, not the
+    raw costs, bound the search's cost breaks: support(b, a) need not grow
+    with a or b when a vertex sits within TOL below an axis.
     """
     budget = max(i_target, 1)
-    buckets = {}
-    for b in range(1, budget + 1):
-        if b * 1 + 1 + b > budget:
-            break
+    rows = []
+    least = inf
+    # every height with room for (1, b), tallest first so least is a running min
+    for b in range((budget - 1) // 2, 0, -1):
         alist = []
         costs = []
         for a in range(1, budget + 1):
@@ -394,9 +401,11 @@ def _pool_by_height(domain: ToricDomain, i_target: int):
             if gcd(a, b) == 1:
                 alist.append(a)
                 costs.append(domain.support(b, a))
-        if alist:
-            buckets[b] = (alist, costs)
-    return buckets
+        floors = list(accumulate(reversed(costs), min))[::-1]
+        least = min(least, floors[0])
+        rows.append((b, alist, costs, floors, least))
+    rows.reverse()
+    return rows
 
 
 def _triangle_family(lattice_target: int):
@@ -432,12 +441,29 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound,
     and enforce x + y - h/2 >= xy_bound; otherwise require h = 0 exactly.
     Returns (value, witness) with witness None when infeasible.
 
-    Appending (a, b) with multiplicity t to a partial path of width x turns
-    the doubled enclosed count D into D + t(2bx + 1 + a + b) + a*b*t^2, so
-    the count grows strictly along every branch; a branch dies once it
-    overshoots the largest count any h assignment could justify, or once its
-    action cannot beat the incumbent.  Children are generated per height b
-    from the closed-form feasibility range instead of a full pool scan.
+    A node is a partial path of width x, height y, doubled enclosed count D
+    and partial action u; its children append one class (a, b) x t, steeper
+    than its last class.  Three quantities are monotone along every branch,
+    and each loop that makes children breaks at its first child that fails
+    one, since every later child of that loop fails it too:
+
+    - D grows by t(2bx + 1 + a + b) + ab t^2, so once it passes the largest
+      count any h assignment could justify the branch is dead.  The t loop
+      breaks on it, and the height and a ranges come from its closed form.
+    - u grows by t * support(b, a), so a branch dies once it cannot beat the
+      incumbent.  The t loop breaks on it (u grows with t); the a loop on
+      u + min(costs[pos:]) and the height loop on u + (least cost at height
+      b or above), both lower bounds on every later child.
+    - In flexible-h mode the boundary slack 2(x + y) - D changes by
+      t(a + b - 1 - 2bx) - ab t^2, which never rises with t, a or b and must
+      end at 2 xy_bound - i_target - 2 or more.  The t loop breaks on it; the
+      a loop when the t = 1 child fails, its change -(a-1)(b-1) - 2bx falling
+      in a; the height loop when (1, b) x 1 fails, since its change -2bx is
+      the largest of any child at height b or above.
+
+    Breaks skip only children whose subtrees would offer nothing, so every
+    incumbent is found in the same order as by the unpruned traversal, and
+    ties resolve the same way.
     """
     if i_target < 0 or i_target % 2:
         raise ValueError("grading target must be even and nonnegative")
@@ -486,57 +512,61 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound,
         if a >= 1 and b >= 1 and gcd(a, b) == 1:
             seed([(a, b, 1)])
 
-    # Appending (a, b) x t at width x changes 2(x+y) - doubled by
-    # t(a+b-1-2bx) - ab t^2, which is never positive, so the quantity only
-    # falls along a branch; the boundary constraint needs it to end at
-    # 2*xy_bound - i_target - 2 or more.
-    g_floor = 2 * xy_bound - i_target - 2 - tol if flexible_h else None
+    # least boundary slack a live node may have; h = 0 mode has no such bound
+    g_floor = 2 * xy_bound - i_target - 2 - tol if flexible_h else -inf
+
+    def descend(a, b, cost, extra, chosen, x, y, doubled, n_sloped, used):
+        cap = (n_sloped + extra) if flexible_h else 0
+        lin = 2 * b * x + 1 + a + b
+        t = 1
+        while True:
+            new_used = used + t * cost
+            if new_used >= best_val - 1e-12:
+                break
+            ndoubled = doubled + t * lin + a * b * t * t
+            if ndoubled > roof + cap:
+                break
+            nx = x + a * t
+            ny = y + b * t
+            if 2 * (nx + ny) - ndoubled < g_floor:
+                break
+            chosen.append((a, b, t))
+            rec(b, a, chosen, nx, ny, ndoubled, n_sloped + extra, new_used)
+            chosen.pop()
+            t += 1
 
     # steepness b/a as the pair (b, a); (-1, 1) sits below horizontal
     def rec(last_b, last_a, chosen, x, y, doubled, n_sloped, used):
-        if flexible_h and 2 * (x + y) - doubled < g_floor:
-            return
         offer(chosen, doubled, x, y, n_sloped, used)
-
-        def descend(a, b, cost, extra):
-            cap = (n_sloped + extra) if flexible_h else 0
-            lin = 2 * b * x + 1 + a + b
-            t = 1
-            while True:
-                new_used = used + t * cost
-                if new_used >= best_val - 1e-12:
-                    break
-                ndoubled = doubled + t * lin + a * b * t * t
-                if ndoubled > roof + cap:
-                    break
-                chosen.append((a, b, t))
-                rec(b, a, chosen, x + a * t, y + b * t, ndoubled,
-                    n_sloped + extra, new_used)
-                chosen.pop()
-                t += 1
-
         if last_b < 0:
-            descend(1, 0, cost_h, 0)
+            descend(1, 0, cost_h, 0, chosen, x, y, doubled, n_sloped, used)
         cap_s = (n_sloped + 1) if flexible_h else 0
         bmax = (roof + cap_s - doubled - 2) // (2 * x + 2) if roof + cap_s >= doubled + 2 else 0
-        for b, (alist, costs) in buckets.items():
-            if b > bmax:
-                continue
-            slack = roof + cap_s - doubled - 1 - b * (2 * x + 1)
-            amax = slack // (b + 1)
+        slack = 2 * (x + y) - doubled
+        for b, alist, costs, floors, least in buckets:
+            if (b > bmax or used + least >= best_val - 1e-12
+                    or slack - 2 * b * x < g_floor):
+                break
+            room = roof + cap_s - doubled - 1 - b * (2 * x + 1)
+            amax = room // (b + 1)
             if last_b > 0:
                 # strictly steeper than b_last/a_last
                 limit = (b * last_a - 1) // last_b
                 if limit < amax:
                     amax = limit
             for pos, a in enumerate(alist):
-                if a > amax:
+                if (a > amax or used + floors[pos] >= best_val - 1e-12
+                        or slack - (a - 1) * (b - 1) - 2 * b * x < g_floor):
                     break
-                descend(a, b, costs[pos], 1)
+                descend(a, b, costs[pos], 1, chosen, x, y, doubled, n_sloped, used)
         if last_a > 0:
-            descend(0, 1, cost_v, 0)
+            descend(0, 1, cost_v, 0, chosen, x, y, doubled, n_sloped, used)
 
-    rec(-1, 1, [], 0, 0, 2, 0, 0.0)
+    if -2 >= g_floor:  # the root's slack: x = y = 0 and doubled = 2
+        rec(-1, 1, [], 0, 0, 2, 0, 0.0)
+    # rec and descend refer to each other; unlinking them frees the class
+    # pool now rather than at the next cyclic garbage collection
+    del rec, descend
     return best_val, best_wit
 
 

@@ -13,6 +13,7 @@ from kech.toric import (
     CgClass,
     ConvexGenerator,
     ToricDomain,
+    _min_action_search,
     admissible_min_action,
     cg_elliptic_factor_count,
     cg_grading,
@@ -260,10 +261,19 @@ def weight_sequence(a, b, kmax):
     return vals[: kmax + 1]
 
 
+def ball_capacity(k):
+    """The d with d(d+1)/2 <= k <= d(d+3)/2: c_k of the unit ball."""
+    d = 0
+    while d * (d + 3) // 2 < k:
+        d += 1
+    return d
+
+
 def test_ball_capacities_equal_weight_sequence():
     b1 = ToricDomain.ball(1.0)
-    expect = weight_sequence(1, 1, 30)
-    for k in range(31):
+    expect = weight_sequence(1, 1, 60)
+    for k in range(61):
+        assert expect[k] == ball_capacity(k), k
         assert abs(ech_capacity_toric(b1, k) - expect[k]) < 1e-9, k
 
 
@@ -276,8 +286,8 @@ def test_scaled_ball_capacities():
 
 def test_ellipsoid_capacities_equal_weight_sequences():
     e12 = ToricDomain.ellipsoid(1.0, 2.0)
-    expect = weight_sequence(1, 2, 12)
-    for k in range(13):
+    expect = weight_sequence(1, 2, 60)
+    for k in range(61):
         assert abs(ech_capacity_toric(e12, k) - expect[k]) < 1e-9, k
     e23 = ToricDomain.ellipsoid(2.0, 3.0)
     expect = weight_sequence(2, 3, 10)
@@ -295,6 +305,17 @@ def test_toric_capacity_details():
     assert value == 1.0 and format_convex_generator(witness) == "e(1,1)"
     value, witness = toric_capacity_detail(b1, 3)
     assert value == 2.0 and format_convex_generator(witness) == "e(1,0);e(0,1)"
+    # large k: the values and tie-breaks behind cap-toric output
+    cases = [
+        (b1, 127, 15.0, "e(1,0);e(1,1)^7;e(6,7)"),
+        (ToricDomain.ellipsoid(1.0, 2.0), 131, 21.0, "e(1,2)^10;e(0,1)"),
+        (parse_domain("polygon:1.1,0;0.6,0.65;0,1.05"), 122, 16.95,
+         "e(3,2)^2;e(1,1)^5;e(3,4)"),
+    ]
+    for dom, k, expect, spec in cases:
+        value, witness = toric_capacity_detail(dom, k)
+        assert abs(value - expect) < 1e-9, (dom.describe(), k)
+        assert format_convex_generator(witness) == spec, (dom.describe(), k)
 
 
 def test_toric_capacity_witnesses_are_consistent():
@@ -325,6 +346,11 @@ def test_admissible_min_action_frozen():
     assert value == 3.0 and format_convex_generator(witness) == "e(3,1)"
     value, witness = admissible_min_action(b1, 6, 3)
     assert value == 2.0 and format_convex_generator(witness) == "e(2,1)"
+    value, witness = admissible_min_action(b1, 14, 6)
+    assert value == 5.0 and format_convex_generator(witness) == "e(1,0);e(4,1)"
+    # the k = 130 ladder search behind gromov --kmax 130
+    value, witness = admissible_min_action(b1, 524, 262)
+    assert value == 261.0 and format_convex_generator(witness) == "e(261,1)"
 
 
 def test_admissible_min_action_infeasible_cases():
@@ -337,7 +363,10 @@ def test_admissible_min_action_infeasible_cases():
 def test_admissible_min_action_matches_naive_search():
     b1 = ToricDomain.ball(1.0)
     poly = ToricDomain.polygon([(2.0, 0.0), (1.0, 2.0), (0.0, 1.0)])
-    cases = [(b1, 2, 0), (b1, 8, 4), (poly, 2, 0), (poly, 4, 2), (poly, 8, 4)]
+    # xy_bound = i_target/2 - 1 at grading 12: the boundary slack breaks
+    # decide these answers, and a break one step too early changes them
+    cases = [(b1, 2, 0), (b1, 8, 4), (poly, 2, 0), (poly, 4, 2), (poly, 8, 4),
+             (b1, 12, 5), (poly, 12, 5)]
     for dom, i_target, xy_bound in cases:
         naive = naive_convex_min_action(dom, i_target, xy_bound, True,
                                         dir_cap=6, mult_cap=8)
@@ -351,6 +380,45 @@ def test_h_zero_search_matches_naive_search():
         naive = naive_convex_min_action(poly, 2 * k, 0, False,
                                         dir_cap=6, mult_cap=8)
         assert abs(ech_capacity_toric(poly, k) - naive) < 1e-9, k
+
+
+def test_search_matches_naive_search_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # each example costs about 0.3 s of naive flexible-h search
+    @hypothesis.settings(max_examples=8, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(
+        a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0),
+        s=st.floats(0.15, 0.9), u=st.floats(0.0, 1.0),
+        sink=st.sampled_from([0.0, 5e-10]),
+        i_target=st.sampled_from([2, 4, 6, 8]), data=st.data())
+    def check(a, b, s, u, sink, i_target, data):
+        # s + t >= 1.05 keeps m = (sa, tb) past the chord, a vertex of a
+        # convex quadrilateral; sink puts the axis vertices within TOL below
+        # the axes, where support(b, a) falls as a or b grows
+        t = 1.05 - s + u * (s - 0.1)
+        dom = ToricDomain.polygon([(a, -sink), (s * a, t * b), (-sink, b)])
+        xy_bound = data.draw(st.integers(0, i_target // 2 + 1), label="xy_bound")
+        for flexible in (True, False):
+            naive = naive_convex_min_action(dom, i_target, xy_bound, flexible,
+                                            dir_cap=6, mult_cap=8)
+            value, witness = _min_action_search(dom, i_target, xy_bound,
+                                                flexible, 1e-9)
+            if naive == math.inf:
+                assert (value, witness) == (math.inf, None)
+                continue
+            assert abs(value - naive) < 1e-9, (dom.describe(), i_target, xy_bound)
+            assert cg_grading(witness) == i_target
+            assert abs(support_action(dom, witness) - value) < 1e-12
+            h = cg_h_count(witness)
+            if flexible:
+                assert 2 * (cg_x(witness) + cg_y(witness)) - h >= 2 * xy_bound
+            else:
+                assert h == 0
+
+    check()
 
 
 def test_leq_relation_cases():
@@ -399,8 +467,8 @@ def test_embedding_obstruction_threshold_tracks_bound():
 
 
 def test_gromov_upper_records():
-    report = gromov_upper(6)
-    assert len(report.records) == 7
+    report = gromov_upper(40)
+    assert len(report.records) == 41
     for r in report.records:
         assert r.rhs_action == 2 * r.k + 3
         assert r.min_lhs_action == 2 * r.k + 1
