@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kech.census import generators_up_to_action
@@ -37,6 +39,13 @@ DIFFERENTIAL_ORACLE = {
         "e(0,-1)^2;h(2,1);e(0,1)",
     ],
 }
+
+
+# sha256 over "<generator>><differential>\n" lines of the whole action-8
+# slice, in slice order; frozen
+ACTION_8_DIFFERENTIAL_SHA256 = (
+    "9d2f470eeb55b5922b788f017b6fcc409dd3477bbca16fa1a92501ebe02c0bfd"
+)
 
 
 def test_differential_oracle():
@@ -129,3 +138,13 @@ def test_differential_rejects_invalid_path():
     crooked = KLatticePath(False, False, (EdgeGroup(1, 0, 1, False),))
     with pytest.raises(PathError):
         differential(crooked)
+
+
+def test_differential_digest_of_action_8_slice():
+    digest = hashlib.sha256()
+    count = 0
+    for p in generators_up_to_action(8.0).all_generators():
+        digest.update((format_path(p) + ">" + str(differential(p)) + "\n").encode())
+        count += 1
+    assert count == 2517
+    assert digest.hexdigest() == ACTION_8_DIFFERENTIAL_SHA256

@@ -191,6 +191,18 @@ def test_geometry_accessors():
     assert sorted(region_points(q)) == [(0, -2), (0, -1), (0, 0)]
 
 
+@pytest.mark.parametrize("groups", [
+    [(0, -1, 1), (0, 1, 1), (1, 0, 2)],  # up wall before a horizontal class
+    [(0, 1, 1), (0, -1, 1)],             # up wall before the down wall
+    [(1, 0, 1), (1, 0, 1)],              # one direction listed twice
+])
+def test_validate_rejects_built_paths_out_of_slope_order(groups):
+    path = KLatticePath(False, False,
+                        tuple(EdgeGroup(q, p, m, False) for q, p, m in groups))
+    with pytest.raises(PathSemanticsError, match="non-convex slope order"):
+        validate(path)
+
+
 def test_mixed_label_group_accessors():
     p = parse_path("H-;e(0,-1);h(1,2)")
     mids = list(middle_groups(p))
