@@ -1,21 +1,25 @@
 """GF(2) differential on convex sub-axis lattice paths.
 
-Three local moves produce the boundary of a generator, each dropping the
-grading by exactly 1 and strictly decreasing action:
+The region between a path and the axis is held as its column profile: the
+lowest region point of each column (``paths.column_bottoms``).  Three local
+moves produce the boundary of a generator, each an edit of that profile that
+drops the grading by exactly 1 and strictly decreases action:
 
-- interior rounding: remove one eligible concave corner strictly below the
-  axis and re-hull the remaining region points, redistributing the freed
+- interior rounding: raise the bottom of the column holding one eligible
+  concave corner strictly below the axis, redistributing the freed
   hyperbolic labels over the newly created edge classes in the slope zone
   between the two corner directions;
 - the corner move C: when the path begins (ends) with a hyperbolic class and
-  no wall, remove the origin point (steep slopes, creating a half-arrow pair)
-  or the two axis points nearest the end (shallow slopes, no pair);
+  no wall, drop the end column, which holds only its axis point (steep
+  slopes, creating a half-arrow pair), or the two end columns (shallow
+  slopes, no pair);
 - the wall move D: when a half-arrow pair is immediately followed (preceded)
-  by a hyperbolic class, remove the two wall points the pair occupies.
+  by a hyperbolic class, drop the end column, which holds the two wall
+  points the pair occupies.
 
-All moves share the re-hull primitive: drop the removed points, take the
-left wall / lower convex hull / right wall of what survives, translate back
-to the origin.  Outputs accumulate modulo 2 (duplicate terms cancel).
+All moves share the re-hull primitive: the left wall / lower convex hull /
+right wall of the edited profile, which starts at the origin.  Outputs
+accumulate modulo 2 (duplicate terms cancel).
 """
 
 from __future__ import annotations
@@ -27,14 +31,13 @@ from .paths import (
     EdgeGroup,
     KLatticePath,
     build_path,
+    column_bottoms,
     down_run,
     format_path,
     middle_groups,
-    region_points,
-    slope_key,
+    slope_before,
     up_run,
     validate,
-    x_width,
 )
 
 
@@ -84,31 +87,18 @@ class Chain:
 # Re-hull primitive
 
 
-def _skeleton(points):
-    """Left wall + lower hull + right wall of a lattice point set.
+def _skeleton(bottoms):
+    """Left wall + lower hull + right wall of a column profile.
 
     Returns (down, middle, up) where down/up are the wall depths and middle
-    is a tuple of (q, p, mult) primitive direction classes in slope order,
-    translated so the path starts at the origin.  Returns None when fewer
-    than two points survive (the degenerate empty outcome).
+    is a tuple of (q, p, mult) primitive direction classes in slope order.
+    Returns None when fewer than two points survive (the degenerate empty
+    outcome).
     """
-    if len(points) <= 1:
+    if sum(1 - b for b in bottoms) <= 1:
         return None
-    columns = {}
-    for (x, y) in points:
-        columns.setdefault(x, []).append(y)
-    x0, x1 = min(columns), max(columns)
-    for c in range(x0, x1 + 1):
-        if c not in columns:
-            raise AssertionError("re-hull input has a column gap")
-        if max(columns[c]) != 0:
-            raise AssertionError("re-hull input misses an axis point")
-    if x0 == x1:
-        depth = -min(columns[x0])
-        return (depth, (), depth)
-    bottoms = [(c, min(columns[c])) for c in range(x0, x1 + 1)]
-    hull = [bottoms[0]]
-    for pt in bottoms[1:]:
+    hull = []
+    for pt in enumerate(bottoms):
         while len(hull) >= 2:
             (ax, ay), (bx, by) = hull[-2], hull[-1]
             if (bx - ax) * (pt[1] - by) - (by - ay) * (pt[0] - bx) <= 0:
@@ -127,15 +117,25 @@ def _skeleton(points):
 def rehull(path: KLatticePath, removed) -> KLatticePath | None:
     """Remove points from the region under a path and re-trace its boundary.
 
-    Returns the fully unlabeled convex path (no h flags, no half-arrow
-    pairs) tracing the lower boundary of the surviving region, translated
-    back to the origin; None when at most one point survives.
+    What survives must again be a column profile: whole end columns may go,
+    and every other column keeps its axis point.  Returns the fully
+    unlabeled convex path (no h flags, no half-arrow pairs) tracing the
+    lower boundary of the surviving region, translated back to the origin;
+    None when at most one point survives.
     """
-    region = region_points(path)
+    bottoms = column_bottoms(path)
     removed = set(removed)
-    if not removed <= region:
+    if not all(0 <= c < len(bottoms) and bottoms[c] <= y <= 0 for c, y in removed):
         raise ValueError("removed points must lie in the path region")
-    skel = _skeleton(region - removed)
+    columns = [[y for y in range(b, 1) if (c, y) not in removed]
+               for c, b in enumerate(bottoms)]
+    while columns and not columns[-1]:
+        columns.pop()
+    while columns and not columns[0]:
+        columns.pop(0)
+    if not all(col and col[-1] == 0 for col in columns):
+        raise ValueError("removed points must leave a column profile")
+    skel = _skeleton([col[0] for col in columns])
     if skel is None:
         return None
     down, middle, up = skel
@@ -176,7 +176,7 @@ def _edge_objects(path: KLatticePath):
 def round_interior(path: KLatticePath) -> Chain:
     """Sum of all corner-rounding outputs of the path."""
     edges = _edge_objects(path)
-    region = region_points(path)
+    bottoms = column_bottoms(path)
     in_flags = {(g.q, g.p): g.h_flag for g in middle_groups(path)}
     acc = set()
     for before, after in zip(edges, edges[1:]):
@@ -186,24 +186,24 @@ def round_interior(path: KLatticePath) -> Chain:
         h_after = after[0] == "class" and in_flags[after[1]]
         if not (h_before or h_after):
             continue
-        corner = before[3]
-        if corner[1] >= 0:
+        cx, cy = before[3]
+        if cy >= 0:
             continue
-        skel = _skeleton(region - {corner})
+        rounded = bottoms.copy()
+        rounded[cx] += 1  # the corner is the bottom of its column
+        skel = _skeleton(rounded)
         if skel is None:
             continue
         down, middle, up = skel
         n_h = (1 if h_before else 0) + (1 if h_after else 0) - 1
-        lo, hi = slope_key(*before[1]), slope_key(*after[1])
-        zone = [
-            (q, p) for q, p, _ in middle if q > 0 and lo <= slope_key(q, p) <= hi
-        ]
+        lo, hi = before[1], after[1]
+        zone = [i for i, (q, p, _) in enumerate(middle)
+                if q > 0 and not slope_before(q, p, *lo) and not slope_before(*hi, q, p)]
         for placed in combinations(zone, n_h):
-            placed = set(placed)
             out_mid = []
-            for q, p, mult in middle:
-                if q > 0 and lo <= slope_key(q, p) <= hi:
-                    h = (q, p) in placed
+            for i, (q, p, mult) in enumerate(middle):
+                if i in zone:
+                    h = i in placed
                 else:
                     h = in_flags.get((q, p), False)
                 out_mid.append(EdgeGroup(q, p, mult - (1 if h else 0), h))
@@ -242,31 +242,27 @@ def _assemble(path, skel, operated, make_start_pair=False, make_end_pair=False,
 def c_op(path: KLatticePath) -> Chain:
     """Corner move at the start and/or end of the path."""
     acc = set()
-    region = region_points(path)
     mids = middle_groups(path)
-    width = x_width(path)
 
     if mids and not path.start_pair and down_run(path) == 0 and mids[0].h_flag:
         g = mids[0]
-        slope = slope_key(g.q, g.p)[1]
-        if g.p < 0 and slope <= -1:
-            skel = _skeleton(region - {(0, 0)})
+        if g.p <= -g.q:
+            skel = _skeleton(column_bottoms(path)[1:])
             if skel is not None:
                 acc ^= {_assemble(path, skel, (g.q, g.p), make_start_pair=True)}
-        elif g.p < 0 and -1 < slope < 0:
-            skel = _skeleton(region - {(0, 0), (1, 0)})
+        elif g.p < 0:
+            skel = _skeleton(column_bottoms(path)[2:])
             if skel is not None:
                 acc ^= {_assemble(path, skel, (g.q, g.p))}
 
     if mids and not path.end_pair and up_run(path) == 0 and mids[-1].h_flag:
         g = mids[-1]
-        slope = slope_key(g.q, g.p)[1]
-        if g.p > 0 and slope >= 1:
-            skel = _skeleton(region - {(width, 0)})
+        if g.p >= g.q:
+            skel = _skeleton(column_bottoms(path)[:-1])
             if skel is not None:
                 acc ^= {_assemble(path, skel, (g.q, g.p), make_end_pair=True)}
-        elif g.p > 0 and 0 < slope < 1:
-            skel = _skeleton(region - {(width, 0), (width - 1, 0)})
+        elif g.p > 0:
+            skel = _skeleton(column_bottoms(path)[:-2])
             if skel is not None:
                 acc ^= {_assemble(path, skel, (g.q, g.p))}
     return Chain(acc)
@@ -275,17 +271,15 @@ def c_op(path: KLatticePath) -> Chain:
 def d_op(path: KLatticePath) -> Chain:
     """Wall move consuming a half-arrow pair and its adjacent h class."""
     acc = set()
-    region = region_points(path)
     mids = middle_groups(path)
-    width = x_width(path)
 
     if mids and path.start_pair and down_run(path) == 0 and mids[0].h_flag:
-        skel = _skeleton(region - {(0, 0), (0, -1)})
+        skel = _skeleton(column_bottoms(path)[1:])
         if skel is not None:
             acc ^= {_assemble(path, skel, (mids[0].q, mids[0].p), drop_start_pair=True)}
 
     if mids and path.end_pair and up_run(path) == 0 and mids[-1].h_flag:
-        skel = _skeleton(region - {(width, 0), (width, -1)})
+        skel = _skeleton(column_bottoms(path)[:-1])
         if skel is not None:
             acc ^= {_assemble(path, skel, (mids[-1].q, mids[-1].p), drop_end_pair=True)}
     return Chain(acc)

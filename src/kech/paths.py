@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 #: Absolute tolerance for comparing floating-point actions.
@@ -114,13 +113,13 @@ def orbit_class(atom) -> H1Class:
     return direction_class(q, p)
 
 
-_SlopeKey = tuple  # (-1, 0) < (0, Fraction) < (1, 0)
+def slope_before(q1: int, p1: int, q2: int, p2: int) -> bool:
+    """Whether direction (q1, p1) comes strictly before (q2, p2) in slope order.
 
-
-def slope_key(q: int, p: int) -> _SlopeKey:
-    if q == 0:
-        return (-1, Fraction(0)) if p < 0 else (1, Fraction(0))
-    return (0, Fraction(p, q))
+    Directions have q >= 0; the down wall (0, -1) is first and the up wall
+    (0, 1) last.
+    """
+    return q1 * p2 - p1 * q2 > 0 or (q1 == q2 == 0 and p1 < p2)
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,6 @@ def parse_path(text: str) -> KLatticePath:
     start_pair = False
     end_pair = False
     groups = []  # mutable [q, p, e_mult, h_flag]
-    last_key = None
 
     pos = 0
     raw_items = stripped.split(";")
@@ -242,8 +240,7 @@ def parse_path(text: str) -> KLatticePath:
                 raise PathSemanticsError("vertical edges cannot be labeled h")
             if mult != 1:
                 raise PathSemanticsError("repeated h on one direction")
-        key = slope_key(q, p)
-        if last_key is not None and key < last_key:
+        if groups and slope_before(q, p, groups[-1][0], groups[-1][1]):
             raise PathSemanticsError(
                 f"non-convex slope order at ({q},{p})"
             )
@@ -257,7 +254,6 @@ def parse_path(text: str) -> KLatticePath:
                 g[2] += mult
         else:
             groups.append([q, p, mult if label == "e" else 0, label == "h"])
-        last_key = key
 
     path = KLatticePath(
         start_pair, end_pair, tuple(EdgeGroup(q, p, e, h) for q, p, e, h in groups)
@@ -308,8 +304,7 @@ def total_class(obj) -> H1Class:
 
 def validate(path: KLatticePath) -> str:
     """Check every invariant; return the type tag (I/II/III/IV/empty)."""
-    last_key = None
-    seen_up_vertical = False
+    last = None
     for g in path.groups:
         if g.q < 0:
             raise PathSemanticsError(f"negative horizontal component in ({g.q},{g.p})")
@@ -321,14 +316,9 @@ def validate(path: KLatticePath) -> str:
             raise PathSemanticsError(f"empty edge group on ({g.q},{g.p})")
         if g.vertical and g.h_flag:
             raise PathSemanticsError("vertical edges cannot be labeled h")
-        key = slope_key(g.q, g.p)
-        if last_key is not None and key <= last_key:
+        if last is not None and not slope_before(last.q, last.p, g.q, g.p):
             raise PathSemanticsError("non-convex slope order")
-        last_key = key
-        if g.vertical and g.p > 0:
-            seen_up_vertical = True
-        elif seen_up_vertical:
-            raise PathSemanticsError("non-convex slope order")
+        last = g
 
     drop = (1 if path.start_pair else 0) + sum(
         g.p * g.mult for g in path.groups if g.p < 0
@@ -385,31 +375,20 @@ def vertices(path: KLatticePath):
     return pts
 
 
-def region_points(path: KLatticePath):
-    """Lattice points between the path and the axis (both included)."""
-    pts = set()
-    width = x_width(path)
-    if width == 0:
-        depth = (1 if path.start_pair else 0) + down_run(path)
-        return {(0, -j) for j in range(depth + 1)}
-    left = (1 if path.start_pair else 0) + down_run(path)
-    right = (1 if path.end_pair else 0) + up_run(path)
-    for j in range(left + 1):
-        pts.add((0, -j))
-    for j in range(right + 1):
-        pts.add((width, -j))
-    cx, cy = 0, -left
+def column_bottoms(path: KLatticePath):
+    """Lowest region point of each column, for columns 0..x_width(path).
+
+    The region between the path and the axis is
+    {(c, y) : bottoms[c] <= y <= 0}.
+    """
+    y = -((1 if path.start_pair else 0) + down_run(path))
+    bottoms = [y]
     for g in middle_groups(path):
-        span = g.q * g.mult
-        for c in range(cx, cx + span + 1):
-            # floor of the path height at column c along this edge
-            num = cy * g.q + (c - cx) * g.p
-            bottom = -((-num) // g.q)  # ceil(num / q)
-            for yy in range(bottom, 1):
-                pts.add((c, yy))
-        cx += span
-        cy += g.p * g.mult
-    return pts
+        for _ in range(g.mult):
+            # ceil of the path height i columns into this edge
+            bottoms.extend(y - (-i * g.p) // g.q for i in range(1, g.q + 1))
+            y += g.p
+    return bottoms
 
 
 def _shoelace2(pts) -> int:
@@ -430,7 +409,7 @@ def grading(path: KLatticePath) -> int:
 
 def grading_lattice(path: KLatticePath) -> int:
     """Same grading via lattice-point count: 2(L-1) - n/2 - x - h."""
-    lattice = len(region_points(path))
+    lattice = sum(1 - b for b in column_bottoms(path))
     n_half = pair_count(path)  # n/2 where n counts half-arrows
     return 2 * (lattice - 1) - n_half - x_width(path) - h_count(path)
 

@@ -20,7 +20,6 @@ loop that makes children breaks at the first child that fails a bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import gcd, inf, isfinite
 
@@ -35,7 +34,6 @@ from .paths import (
     grading,
     middle_groups,
     pair_count,
-    slope_key,
     up_run,
     validate,
 )
@@ -76,10 +74,6 @@ class ConvexGenerator:
 EMPTY_CONVEX = ConvexGenerator(())
 
 
-def _steepness(a: int, b: int):
-    return (1, Fraction(0)) if a == 0 else (0, Fraction(b, a))
-
-
 def make_convex_generator(items) -> ConvexGenerator:
     """Validate and assemble classes given as CgClass or (a, b, eMult, h)."""
     groups = []
@@ -97,10 +91,9 @@ def make_convex_generator(items) -> ConvexGenerator:
             raise ValueError("class multiplicity must be positive")
         if g.h_flag and not g.sloped:
             raise ValueError("horizontal and vertical classes are always elliptic")
-        key = _steepness(g.a, g.b)
-        if last is not None and key <= last:
+        if last is not None and last.a * g.b - last.b * g.a <= 0:
             raise ValueError("classes must appear in strictly increasing steepness")
-        last = key
+        last = g
     return ConvexGenerator(tuple(groups))
 
 
@@ -208,8 +201,8 @@ class ToricDomain:
         return max(u * x + v * y for x, y in self.vertices)
 
     def scale(self, r: float) -> "ToricDomain":
-        if not r > 0:
-            raise ValueError("scale factor must be positive")
+        if not (r > 0 and isfinite(r)):
+            raise ValueError("scale factor must be positive and finite")
         pts = tuple((r * x, r * y) for x, y in self.vertices)
         return ToricDomain("polygon", pts, pts)
 
@@ -286,9 +279,8 @@ def leq_relation(cg: ConvexGenerator, path: KLatticePath, domain: ToricDomain,
         return False
     if support_action(domain, cg) > action(path) + tol:
         return False
-    lhs = Fraction(2 * (cg_x(cg) + cg_y(cg)) - cg_h_count(cg), 2)
     rhs = pair_count(path) + toric_multiplicity(path) - 1
-    return lhs >= rhs
+    return 2 * (cg_x(cg) + cg_y(cg)) - cg_h_count(cg) >= 2 * rhs
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +324,6 @@ def factorizations(path: KLatticePath):
                 up = mult
             else:
                 mids.append((q, p, mult))
-        mids.sort(key=lambda c: slope_key(c[0], c[1]))
         candidate = build_path(sp, ep, down, up,
                                [EdgeGroup(q, p, m, False) for q, p, m in mids])
         try:

@@ -197,9 +197,13 @@ def naive_convex_min_action(domain, i_target, xy_bound, flexible_h,
               if math.gcd(a, b) == 1]
     sloped.sort(key=lambda ab: Fraction(ab[1], ab[0]))
     dirs += sloped + [(0, 1)]
-    # every admissible completion satisfies 2L <= i_target + 2 + n_sloped,
-    # and n_sloped can never exceed the direction pool
-    roof = i_target + 2 + (len(sloped) if flexible_h else 0)
+    # every admissible completion satisfies 2L <= i_target + 2 + n_sloped.
+    # The empty generator has 2L = 2, and a sloped class (a, b) x t with
+    # a, b >= 1 entered at width x adds t(2bx + 1 + a + b) + ab*t^2 >= 4 to
+    # 2L (the other classes add >= 0), so 2 + 4*n_sloped <= 2L.  Together
+    # these give n_sloped <= i_target / 3, and n_sloped can never exceed the
+    # direction pool
+    roof = i_target + 2 + (min(len(sloped), i_target // 3) if flexible_h else 0)
     best = [math.inf]
 
     def admissible(cg):

@@ -13,6 +13,7 @@ from kech.paths import (
     action,
     arrow_count,
     build_path,
+    column_bottoms,
     direction_class,
     doubled_area,
     down_run,
@@ -24,7 +25,7 @@ from kech.paths import (
     middle_groups,
     pair_count,
     parse_path,
-    region_points,
+    slope_before,
     total_class,
     up_run,
     validate,
@@ -182,13 +183,29 @@ def test_ladder_family_specs():
 def test_geometry_accessors():
     p = parse_path("h(1,-1);h(1,1)")
     assert vertices(p) == [(0, 0), (1, -1), (2, 0)]
-    assert sorted(region_points(p)) == [(0, 0), (1, -1), (1, 0), (2, 0)]
+    assert column_bottoms(p) == [0, -1, 0]
     assert doubled_area(p) == 2
     assert (h_count(p), pair_count(p), x_width(p), arrow_count(p)) == (2, 0, 2, 2)
     q = parse_path("H-;e(0,-1);e(0,1);H+")
     assert doubled_area(q) == 0
     assert (down_run(q), up_run(q)) == (1, 1)
-    assert sorted(region_points(q)) == [(0, -2), (0, -1), (0, 0)]
+    assert column_bottoms(q) == [-2]
+
+
+def test_slope_before_matches_fraction_slope_order():
+    from fractions import Fraction
+
+    def key(q, p):
+        if q == 0:
+            return (-1 if p < 0 else 1, Fraction(0))
+        return (0, Fraction(p, q))
+
+    dirs = [(q, p) for q in range(9) for p in range(-8, 9)
+            if math.gcd(q, abs(p)) == 1]
+    assert (0, -1) in dirs and (0, 1) in dirs and len(dirs) == 89
+    for d1 in dirs:
+        for d2 in dirs:
+            assert slope_before(*d1, *d2) == (key(*d1) < key(*d2)), (d1, d2)
 
 
 @pytest.mark.parametrize("groups", [

@@ -159,8 +159,9 @@ def test_scale_returns_polygon_kind():
     s = ToricDomain.ball(1.0).scale(1.5)
     assert s.describe().startswith("polygon:")
     assert s.support(1.0, 0.0) == 1.5
-    with pytest.raises(ValueError):
-        ToricDomain.ball(1.0).scale(-2.0)
+    for bad in (-2.0, float("inf")):
+        with pytest.raises(ValueError):
+            ToricDomain.ball(1.0).scale(bad)
 
 
 def test_parse_domain_round_trip():
@@ -386,8 +387,8 @@ def test_search_matches_naive_search_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    # each example costs about 0.3 s of naive flexible-h search
-    @hypothesis.settings(max_examples=8, derandomize=True, deadline=None,
+    # each example costs about 0.04 s, mostly the naive searches
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
                          database=None)
     @hypothesis.given(
         a=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0),
