@@ -7,6 +7,7 @@ limit of the ECH volume property; the isoperimetric floor behind that target
 is derived in the README's growth-diagnostic section.
 """
 
+import hashlib
 import time
 
 from _naive import naive_factor_splits, naive_generators
@@ -131,6 +132,15 @@ def test_criterion_07_spectrum_start_and_growth():
     ]
     assert report(7, "capacities start 0,2, stay below 2k, nondecrease",
                   all(checks), "c1 oracle %.6f" % oracle_c1)
+
+
+def test_capacity_series_50_digest():
+    # frozen values and witnesses of c_0..c_50: the search may change, its
+    # answers may not
+    rows = "\n".join("%d %r %s" % (res.k, res.value, format_path(res.witness))
+                     for res in series50())
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "d84c02959e4cead20404bdf5da0f4a82abd59ca49e804730dc1eb342171572e0")
 
 
 def test_criterion_08_weyl_growth_trend():
