@@ -13,7 +13,7 @@ from .census import (
     generators_of_grading,
     generators_up_to_action,
 )
-from .diff import Chain, c_op, d_op, differential, rehull, round_interior
+from .diff import Chain, c_op, d_op, differential, round_interior
 from .homology import betti, d_squared_report, gf2_rank, stabilized_betti
 from .indexes import (
     CurveData,

@@ -11,15 +11,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 
 from .census import generators_up_to_action
 from .diff import differential
 from .homology import betti, d_squared_report
 from .paths import (
-    TOL,
     PathError,
     action,
     format_path,
@@ -59,18 +56,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float
-    output_format: str
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kech", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("table", "json", "csv"),
                         default="table", help="output format")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="numeric tolerance (default %g)" % TOL)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
@@ -125,24 +114,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args, parser: _Parser) -> RunConfig:
-    def from_env(name, cast, default):
-        raw = os.environ.get(name)
-        if raw is None or raw == "":
-            return default
-        try:
-            return cast(raw)
-        except ValueError:
-            parser.error("environment variable %s=%r is not a valid %s"
-                         % (name, raw, cast.__name__))
-
-    tol = args.tolerance if args.tolerance is not None else \
-        from_env("KECH_TOLERANCE", float, TOL)
-    if not (tol > 0 and math.isfinite(tol)):
-        parser.error("tolerance must be positive and finite")
-    return RunConfig(tol, args.format)
-
-
 # ---------------------------------------------------------------------------
 # Handlers: each returns (columns, rows, exit_code)
 
@@ -152,13 +123,13 @@ def _class_cell(path) -> str:
     return "(%d, %d, %d)" % (cls.n, cls.a, cls.b)
 
 
-def _cmd_validate(args, config):
+def _cmd_validate(args):
     path = parse_path(args.spec)
     kind = validate(path)
     return (("spec", "type"), [{"spec": format_path(path), "type": kind}], EXIT_OK)
 
 
-def _cmd_grade(args, config):
+def _cmd_grade(args):
     path = parse_path(args.spec)
     kind = validate(path)
     row = {
@@ -173,7 +144,7 @@ def _cmd_grade(args, config):
             [row], EXIT_OK)
 
 
-def _cmd_diff(args, config):
+def _cmd_diff(args):
     path = parse_path(args.spec)
     validate(path)
     rows = [{"spec": format_path(term), "grading": grading(term),
@@ -188,7 +159,7 @@ def _action_bound(args) -> float:
     return args.max_action
 
 
-def _cmd_enumerate(args, config):
+def _cmd_enumerate(args):
     sl = generators_up_to_action(_action_bound(args))
     rows = []
     for degree in sl.degrees():
@@ -200,7 +171,7 @@ def _cmd_enumerate(args, config):
     return (("spec", "grading", "action"), rows, EXIT_OK)
 
 
-def _cmd_d2check(args, config):
+def _cmd_d2check(args):
     violations = d_squared_report(_action_bound(args))
     rows = [{"spec": spec, "survivor": surv}
             for spec, survivors in violations for surv in survivors]
@@ -208,7 +179,7 @@ def _cmd_d2check(args, config):
             EXIT_OK if not rows else EXIT_INTERNAL)
 
 
-def _cmd_homology(args, config):
+def _cmd_homology(args):
     max_action = _action_bound(args)
     if args.max_degree < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -217,7 +188,7 @@ def _cmd_homology(args, config):
     return (("degree", "betti"), rows, EXIT_OK)
 
 
-def _cmd_capacity(args, config):
+def _cmd_capacity(args):
     if args.k is None and args.kmax is None:
         raise _UsageError("capacity needs --k or --kmax")
     if args.kmax is not None:
@@ -234,7 +205,7 @@ def _cmd_capacity(args, config):
     return (("k", "value", "witness"), rows, EXIT_OK)
 
 
-def _cmd_weyl(args, config):
+def _cmd_weyl(args):
     if args.kmax < 1:
         raise ValueError("kmax must be >= 1")
     rows = [{"k": k, "value": value, "ratio": ratio}
@@ -242,7 +213,7 @@ def _cmd_weyl(args, config):
     return (("k", "value", "ratio"), rows, EXIT_OK)
 
 
-def _cmd_cap_toric(args, config):
+def _cmd_cap_toric(args):
     domain = parse_domain(args.domain)
     if args.k < 0:
         raise ValueError("capacity index must be nonnegative")
@@ -252,7 +223,7 @@ def _cmd_cap_toric(args, config):
     return (("domain", "k", "value", "witness"), [row], EXIT_OK)
 
 
-def _cmd_gromov(args, config):
+def _cmd_gromov(args):
     if args.kmax < 0:
         raise ValueError("kmax must be nonnegative")
     report = gromov_upper(args.kmax)
@@ -272,11 +243,11 @@ def _cmd_gromov(args, config):
              "bound", "flat_candidate_bound", "running_inf"), rows, EXIT_OK)
 
 
-def _cmd_obstruct(args, config):
+def _cmd_obstruct(args):
     domain = parse_domain(args.domain)
     path = parse_path(args.lambda_prime)
     validate(path)
-    result = embedding_obstructed(domain, path, config.tolerance)
+    result = embedding_obstructed(domain, path)
     row = {"domain": domain.describe(), "generator": format_path(path),
            "obstructed": result}
     return (("domain", "generator", "obstructed"), [row], EXIT_OK)
@@ -296,13 +267,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, command: str, columns, rows, out) -> None:
-    if config.output_format == "json":
+def _emit(output_format: str, command: str, columns, rows, out) -> None:
+    if output_format == "json":
         payload = {"schema": _SCHEMA, "command": command,
                    "columns": list(columns), "rows": rows}
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return
-    if config.output_format == "csv":
+    if output_format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -321,9 +292,8 @@ def _emit(config: RunConfig, command: str, columns, rows, out) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _resolve_config(args, parser)
     try:
-        columns, rows, code = args.handler(args, config)
+        columns, rows, code = args.handler(args)
     except _UsageError as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return EXIT_USAGE
@@ -336,7 +306,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print("internal invariant violation: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(config, args.command, columns, rows, sys.stdout)
+    _emit(args.format, args.command, columns, rows, sys.stdout)
     return code
 
 

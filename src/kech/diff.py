@@ -17,8 +17,8 @@ drops the grading by exactly 1 and strictly decreases action:
   by a hyperbolic class, drop the end column, which holds the two wall
   points the pair occupies.
 
-All moves share the re-hull primitive: the left wall / lower convex hull /
-right wall of the edited profile, which starts at the origin.  Outputs
+All moves re-trace the edited profile with ``_skeleton``: its left wall,
+lower convex hull and right wall, starting at the origin.  Outputs
 accumulate modulo 2 (duplicate terms cancel).
 """
 
@@ -34,6 +34,7 @@ from .paths import (
     column_bottoms,
     down_run,
     format_path,
+    lower_hull,
     middle_groups,
     slope_before,
     up_run,
@@ -84,7 +85,7 @@ class Chain:
 
 
 # ---------------------------------------------------------------------------
-# Re-hull primitive
+# Skeleton of a column profile
 
 
 def _skeleton(bottoms):
@@ -97,50 +98,13 @@ def _skeleton(bottoms):
     """
     if sum(1 - b for b in bottoms) <= 1:
         return None
-    hull = []
-    for pt in enumerate(bottoms):
-        while len(hull) >= 2:
-            (ax, ay), (bx, by) = hull[-2], hull[-1]
-            if (bx - ax) * (pt[1] - by) - (by - ay) * (pt[0] - bx) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
+    hull = lower_hull(enumerate(bottoms))
     middle = []
     for (ax, ay), (bx, by) in zip(hull, hull[1:]):
         dx, dy = bx - ax, by - ay
         g = gcd(dx, abs(dy))
         middle.append((dx // g, dy // g, g))
     return (-hull[0][1], tuple(middle), -hull[-1][1])
-
-
-def rehull(path: KLatticePath, removed) -> KLatticePath | None:
-    """Remove points from the region under a path and re-trace its boundary.
-
-    What survives must again be a column profile: whole end columns may go,
-    and every other column keeps its axis point.  Returns the fully
-    unlabeled convex path (no h flags, no half-arrow pairs) tracing the
-    lower boundary of the surviving region, translated back to the origin;
-    None when at most one point survives.
-    """
-    bottoms = column_bottoms(path)
-    removed = set(removed)
-    if not all(0 <= c < len(bottoms) and bottoms[c] <= y <= 0 for c, y in removed):
-        raise ValueError("removed points must lie in the path region")
-    columns = [[y for y in range(b, 1) if (c, y) not in removed]
-               for c, b in enumerate(bottoms)]
-    while columns and not columns[-1]:
-        columns.pop()
-    while columns and not columns[0]:
-        columns.pop(0)
-    if not all(col and col[-1] == 0 for col in columns):
-        raise ValueError("removed points must leave a column profile")
-    skel = _skeleton([col[0] for col in columns])
-    if skel is None:
-        return None
-    down, middle, up = skel
-    groups = [EdgeGroup(q, p, mult, False) for q, p, mult in middle]
-    return build_path(False, False, down, up, groups)
 
 
 # ---------------------------------------------------------------------------

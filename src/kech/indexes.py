@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 from .paths import (
     EMPTY_PATH,
+    TOL,
     KLatticePath,
     PathSemanticsError,
     h_count,
+    lower_hull,
     pair_count,
     total_class,
     validate,
@@ -145,7 +147,7 @@ def j0_index(gen, side: str) -> int:
     raise ValueError("side must be 'kpath' or 'convex'")
 
 
-def partitions(kind: str, theta, m: int, sign: str = "+", tol: float = 1e-9) -> tuple:
+def partitions(kind: str, theta, m: int, sign: str = "+", tol: float = TOL) -> tuple:
     """Multiplicity partition attached to an orbit end.
 
     Positive hyperbolic: all ones.  Negative hyperbolic: twos with a trailing
@@ -169,27 +171,11 @@ def partitions(kind: str, theta, m: int, sign: str = "+", tol: float = 1e-9) -> 
                 f"theta={theta} is rational to tolerance (denominator {d} <= {m})"
             )
     if sign in ("+", "+1", 1):
-        pts = [(i, math.floor(i * theta)) for i in range(m + 1)]
-        hull = _hull(pts, upper=True)
+        # the upper hull, mirrored in the x axis; only x steps are read
+        hull = lower_hull([(i, -math.floor(i * theta)) for i in range(m + 1)])
     elif sign in ("-", "-1", -1):
-        pts = [(i, math.ceil(i * theta)) for i in range(m + 1)]
-        hull = _hull(pts, upper=False)
+        hull = lower_hull([(i, math.ceil(i * theta)) for i in range(m + 1)])
     else:
         raise ValueError("sign must be '+' or '-'")
     displacements = [b[0] - a[0] for a, b in zip(hull, hull[1:])]
     return tuple(sorted(displacements, reverse=True))
-
-
-def _hull(pts, upper: bool):
-    """Monotone-chain hull of x-sorted points; collinear points merged."""
-    stack = []
-    for pt in pts:
-        while len(stack) >= 2:
-            (x1, y1), (x2, y2) = stack[-2], stack[-1]
-            cross = (x2 - x1) * (pt[1] - y2) - (y2 - y1) * (pt[0] - x2)
-            if (cross >= 0) if upper else (cross <= 0):
-                stack.pop()
-            else:
-                break
-        stack.append(pt)
-    return stack

@@ -391,6 +391,24 @@ def column_bottoms(path: KLatticePath):
     return bottoms
 
 
+def lower_hull(points):
+    """Lower convex hull of points sorted by x, then y (monotone chain).
+
+    Collinear points are dropped.  Reversed input gives the upper hull,
+    traced right to left.
+    """
+    chain = []
+    for p in points:
+        while len(chain) >= 2:
+            (ax, ay), (bx, by) = chain[-2], chain[-1]
+            if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
+
+
 def _shoelace2(pts) -> int:
     total = 0
     for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):

@@ -2,9 +2,12 @@
 
 The k-th capacity is the least action among valid generators of grading 2k.
 Minimizers are always found among h-free generators, so the search enumerates
-those only; it is exact because any slice that contains one grading-2k
-generator already contains the global minimizer (action bounds are nested and
-the witness e(0,-1)^k;e(0,1)^k caps the minimum at 2k).
+those only.  It scans in passes at a rising action cap, starting at the
+isoperimetric floor for c_kmax derived below and ending by 2*kmax, where the
+witness e(0,-1)^k;e(0,1)^k fills every bucket.  Each pass is exact wherever
+it starts: it holds every generator up to its cap, so a bucket it fills
+already has its global minimum, and the first pass that fills all buckets
+ends the search.
 
 Growth: by the ECH volume property c_k^2/k tends to
 2 * REFERENCE_CONTACT_VOLUME = 2*pi, and it never drops below a certified
@@ -39,16 +42,12 @@ class CapacityResult:
     witness: KLatticePath
 
 
-_MINIMA_CACHE = {"kmax": -1, "minima": {}}
-
-
 def _bucket_minima(kmax: int):
     """Minimal action and witness for every grading 2k, k <= kmax."""
     if kmax < 0:
         raise ValueError("capacity index must be nonnegative")
-    if kmax <= _MINIMA_CACHE["kmax"]:
-        return {k: _MINIMA_CACHE["minima"][k] for k in range(kmax + 1)}
-    cap = min(2.0 * max(kmax, 1), float(int(sqrt(7.0 * max(kmax, 1))) + 2))
+    # the isoperimetric floor for c_kmax; see the module docstring
+    cap = min(2.0 * kmax, (-pi + sqrt(pi * pi + 8.0 * pi * kmax)) / 2.0)
     while True:
         best = {}
 
@@ -68,14 +67,11 @@ def _bucket_minima(kmax: int):
 
         scan_generators(cap, emit, max_grading=2 * kmax, h_free=True)
         if len(best) == kmax + 1:
-            out = {k: CapacityResult(k, action(p), p)
-                   for k, (_, _, p) in best.items()}
-            _MINIMA_CACHE["kmax"] = kmax
-            _MINIMA_CACHE["minima"] = out
-            return dict(out)
+            return {k: CapacityResult(k, action(p), p)
+                    for k, (_, _, p) in best.items()}
         if cap >= 2.0 * kmax:
             raise AssertionError("capacity bucket empty below its own witness")
-        cap = min(cap + 2.0, 2.0 * kmax)
+        cap = min(cap + 0.5, 2.0 * kmax)
 
 
 def capacity(k: int) -> CapacityResult:

@@ -32,6 +32,7 @@ from .paths import (
     down_run,
     format_path,
     grading,
+    lower_hull,
     middle_groups,
     pair_count,
     up_run,
@@ -219,20 +220,8 @@ def _hull_with_origin(pts):
     if len(pts) <= 2:
         return tuple(pts)
 
-    def half(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2:
-                (ax, ay), (bx, by) = chain[-2], chain[-1]
-                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(list(reversed(pts)))
+    lower = lower_hull(pts)
+    upper = lower_hull(pts[::-1])
     return tuple(lower[:-1] + upper[:-1])
 
 
@@ -272,12 +261,11 @@ def toric_multiplicity(path: KLatticePath) -> int:
     return down_run(path) + up_run(path) + sum(g.mult for g in middle_groups(path))
 
 
-def leq_relation(cg: ConvexGenerator, path: KLatticePath, domain: ToricDomain,
-                 tol: float = TOL) -> bool:
+def leq_relation(cg: ConvexGenerator, path: KLatticePath, domain: ToricDomain) -> bool:
     """Grading equality + action inequality + point-count inequality."""
     if cg_grading(cg) != grading(path):
         return False
-    if support_action(domain, cg) > action(path) + tol:
+    if support_action(domain, cg) > action(path) + TOL:
         return False
     rhs = pair_count(path) + toric_multiplicity(path) - 1
     return 2 * (cg_x(cg) + cg_y(cg)) - cg_h_count(cg) >= 2 * rhs
@@ -424,8 +412,8 @@ def _triangle_family(lattice_target: int):
     return out
 
 
-def _min_action_search(domain: ToricDomain, i_target: int, xy_bound,
-                       flexible_h: bool, tol: float):
+def _min_action_search(domain: ToricDomain, i_target: int, xy_bound: int,
+                       flexible_h: bool):
     """Least support action over convex generators of the given grading.
 
     flexible_h: allow any even h count up to the number of sloped classes
@@ -473,7 +461,7 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound,
         if flexible_h:
             if h % 2 or h > n_sloped:
                 return
-            if 2 * (x + y) - h < 2 * xy_bound - tol:
+            if 2 * (x + y) - h < 2 * xy_bound:
                 return
         elif h != 0:
             return
@@ -504,7 +492,7 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound,
             seed([(a, b, 1)])
 
     # least boundary slack a live node may have; h = 0 mode has no such bound
-    g_floor = 2 * xy_bound - i_target - 2 - tol if flexible_h else -inf
+    g_floor = 2 * xy_bound - i_target - 2 if flexible_h else -inf
 
     def descend(a, b, cost, extra, chosen, x, y, doubled, n_sloped, used):
         cap = (n_sloped + extra) if flexible_h else 0
@@ -561,11 +549,10 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound,
     return best_val, best_wit
 
 
-def admissible_min_action(domain: ToricDomain, i_target: int, xy_bound,
-                          tol: float = TOL):
+def admissible_min_action(domain: ToricDomain, i_target: int, xy_bound: int):
     """Least action among convex generators with the given grading, an even
     h count, and x + y - h/2 >= xy_bound; (inf, None) when infeasible."""
-    return _min_action_search(domain, i_target, xy_bound, True, tol)
+    return _min_action_search(domain, i_target, xy_bound, True)
 
 
 def toric_capacity_detail(domain: ToricDomain, k: int):
@@ -574,7 +561,7 @@ def toric_capacity_detail(domain: ToricDomain, k: int):
         raise ValueError("capacity index must be nonnegative")
     if k == 0:
         return 0.0, EMPTY_CONVEX
-    value, wit = _min_action_search(domain, 2 * k, 0, False, TOL)
+    value, wit = _min_action_search(domain, 2 * k, 0, False)
     if wit is None:
         raise AssertionError("toric capacity search lost its own seed family")
     return value, wit
@@ -589,8 +576,7 @@ def ech_capacity_toric(domain: ToricDomain, k: int) -> float:
 # Obstruction and the Gromov bound
 
 
-def embedding_obstructed(domain: ToricDomain, path: KLatticePath,
-                         tol: float = TOL) -> bool:
+def embedding_obstructed(domain: ToricDomain, path: KLatticePath) -> bool:
     """True when no factorization admits a compatible convex generator for
     every factor: each factor needs one of equal grading, no larger action,
     and enough boundary lattice points."""
@@ -598,8 +584,8 @@ def embedding_obstructed(domain: ToricDomain, path: KLatticePath,
         feasible = True
         for block in part:
             bound = pair_count(block) + toric_multiplicity(block) - 1
-            value, _ = _min_action_search(domain, grading(block), bound, True, tol)
-            if value > action(block) + tol:
+            value, _ = _min_action_search(domain, grading(block), bound, True)
+            if value > action(block) + TOL:
                 feasible = False
                 break
         if feasible:

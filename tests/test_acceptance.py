@@ -144,7 +144,6 @@ def test_capacity_series_50_digest():
 
 
 def test_criterion_08_weyl_growth_trend():
-    series50()
     rows = {k: ratio for k, _, ratio in weyl_series(40)}
     r5, r40 = rows[5], rows[40]
     target = 2.0 * REFERENCE_CONTACT_VOLUME

@@ -196,41 +196,9 @@ def test_missing_required_option_exits_usage(capsys):
     capsys.readouterr()
 
 
-def test_env_tolerance_must_parse(capsys, monkeypatch):
-    monkeypatch.setenv("KECH_TOLERANCE", "soup")
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "0"])
-    assert exc.value.code == EXIT_USAGE
-    capsys.readouterr()
-
-
-def test_flag_overrides_bad_env(capsys, monkeypatch):
-    monkeypatch.setenv("KECH_TOLERANCE", "soup")
-    code, _, _ = run(capsys, "--tolerance", "1e-9", "validate", "0")
-    assert code == EXIT_OK
-
-
-def test_nonpositive_tolerance_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--tolerance", "0", "validate", "0"])
-    assert exc.value.code == EXIT_USAGE
-    capsys.readouterr()
-
-
-def test_nonfinite_tolerance_rejected(capsys, monkeypatch):
-    for argv in (["--tolerance", "inf"], ["--tolerance", "nan"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["validate", "0"])
-        assert exc.value.code == EXIT_USAGE, argv
-    monkeypatch.setenv("KECH_TOLERANCE", "inf")
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "0"])
-    assert exc.value.code == EXIT_USAGE
-    capsys.readouterr()
-
-
 def test_removed_threads_and_cache_dir_flags_exit_usage(capsys):
-    for argv in (["--threads", "2"], ["--cache-dir", "x"]):
+    for argv in (["--threads", "2"], ["--cache-dir", "x"],
+                 ["--tolerance", "1e-9"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["validate", "0"])
         assert exc.value.code == EXIT_USAGE, argv

@@ -3,9 +3,8 @@ import hashlib
 import pytest
 
 from kech.census import generators_up_to_action
-from kech.diff import Chain, c_op, d_op, differential, rehull, round_interior
+from kech.diff import Chain, c_op, d_op, differential, round_interior
 from kech.paths import (
-    EMPTY_PATH,
     action,
     format_path,
     grading,
@@ -107,20 +106,6 @@ def test_d_squared_zero_on_medium_slice():
         for term in differential(p):
             outer = outer + differential(term)
         assert len(outer) == 0, format_path(p)
-
-
-def test_rehull_examples():
-    p = parse_path("h(1,-1);h(1,1)")
-    assert format_path(rehull(p, {(1, -1)})) == "e(1,0)^2"
-    assert format_path(rehull(p, set())) == "e(1,-1);e(1,1)"
-    assert rehull(EMPTY_PATH, {(0, 0)}) is None
-
-
-def test_rehull_strips_labels():
-    p = parse_path("H-;e(0,-1);h(1,2)")
-    r = rehull(p, set())
-    assert all(not g.h_flag for g in r.groups)
-    assert not r.start_pair and not r.end_pair
 
 
 def test_chain_is_gf2():

@@ -405,8 +405,7 @@ def test_search_matches_naive_search_property():
         for flexible in (True, False):
             naive = naive_convex_min_action(dom, i_target, xy_bound, flexible,
                                             dir_cap=6, mult_cap=8)
-            value, witness = _min_action_search(dom, i_target, xy_bound,
-                                                flexible, 1e-9)
+            value, witness = _min_action_search(dom, i_target, xy_bound, flexible)
             if naive == math.inf:
                 assert (value, witness) == (math.inf, None)
                 continue
