@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from kech.census import (
     boundary_matrix,
     generators_of_grading,
     generators_up_to_action,
+    scan_generators,
 )
 from kech.diff import differential
 from kech.paths import action, format_path, grading, h_count, parse_path
@@ -115,3 +117,34 @@ def test_boundary_matrix_column_weight_of_worked_example():
     cols = [format_path(p) for p in generators_of_grading(2, 3.0)]
     j = cols.index("h(1,-1);h(1,1)")
     assert bin(m.columns[j]).count("1") == 3
+
+
+# (max_action, max_grading, h_free) -> (emits, sha256 of the emit sequence)
+SCAN_DIGESTS = {
+    (10.0, None, False): (
+        14773, "c91588e72057c639cc1c2cef15b9b6bebd9e1b0a82d775b1a7210b5b12b4f40b"),
+    (32.0, 9, False): (
+        375, "87d8f8a0cb205764834864c8a7b3677074de0e56b37309737977e65b5a93d147"),
+    (8.0, None, True): (
+        488, "38faeb65db62fe360aa5ce67172ed2b1980ea43722f2bf9de72cfc825585c409"),
+    (13.7, 64, True): (
+        27960, "a3a839d0f82e2c42776fd67b6a3930279f955e65e723b49cf0ee5ab362d5b031"),
+}
+
+
+def test_scan_emit_sequence_digests():
+    # the scan's raw emit order, not just the set of generators, is frozen
+    for case, expected in SCAN_DIGESTS.items():
+        max_action, max_grading, h_free = case
+        digest = hashlib.sha256()
+        emits = 0
+
+        def emit(sp, ep, m, n, chosen, marked, deg, total):
+            nonlocal emits
+            emits += 1
+            digest.update(("%d %d %d %d %r %r %d %r\n" % (
+                sp, ep, m, n, tuple(chosen), tuple(sorted(marked)), deg, total)
+            ).encode())
+
+        scan_generators(max_action, emit, max_grading, h_free)
+        assert (emits, digest.hexdigest()) == expected, case
