@@ -6,6 +6,16 @@ directions come from a Stern-Brocot traversal cut off at the action budget;
 descendant mediants never get shorter, so the cutoff loses nothing.  Branches
 are pruned on partial action and, when a grading cap is given, on a monotone
 lower bound for the final grading.
+
+The direction list is the Stern-Brocot tree read in order, so the entries
+between d = dirs[i] and the next strictly shorter entry form the right
+subtree of d; that entry is the right ancestor R of d (``_skips``), or the
+list ends when R is the vertical (0, 1).  Each entry of the run is a*d + b*R
+with a, b >= 1, so it is longer than d.  Every direction already chosen
+comes earlier in slope order, so their sum P has P x d >= 0 and P x R >= 0,
+and the t = 1 grading lower bound, which grows with P x d, is no smaller
+over the run than at d.  When d fails the action budget or that bound, the
+whole run fails too and the direction loop jumps past it.
 """
 
 from __future__ import annotations
@@ -70,6 +80,24 @@ def _directions(cap: float):
     return negative + [(1, 0)] + positive
 
 
+def _skips(norms2):
+    """skip[i]: index of the next entry strictly smaller than norms2[i].
+
+    Over ``_directions`` this is the right ancestor of dirs[i], so the run
+    i+1 .. skip[i]-1 is exactly the right subtree of dirs[i]; len(norms2)
+    when that ancestor is the vertical (0, 1).
+    """
+    skip = [len(norms2)] * len(norms2)
+    stack = []
+    for i in range(len(norms2) - 1, -1, -1):
+        while stack and norms2[stack[-1]] >= norms2[i]:
+            stack.pop()
+        if stack:
+            skip[i] = stack[-1]
+        stack.append(i)
+    return skip
+
+
 def build_generator(sp, ep, m, n, chosen, marked):
     """Assemble a path from raw scan data (marked = h-flagged class indexes)."""
     groups = [
@@ -98,7 +126,9 @@ def scan_generators(max_action: float, emit, max_grading=None,
         # a class (q,p) with p != 0 forces grading >= q|p| >= norm/sqrt(2)
         dir_cap = min(dir_cap, 1.5 * max(max_grading, 1) + 1.5)
     dirs = _directions(dir_cap)
-    norms = [sqrt(q * q + p * p) for q, p in dirs]
+    norms2 = [q * q + p * p for q, p in dirs]
+    norms = [sqrt(n2) for n2 in norms2]
+    skip = _skips(norms2)
     ndirs = len(dirs)
     budget = max_action + TOL
 
@@ -131,7 +161,8 @@ def scan_generators(max_action: float, emit, max_grading=None,
         close(sp, ep, chosen, used, px, py, sum_t, inner2a)
         if used + 1.0 > budget:
             return
-        for i in range(idx, ndirs):
+        i = idx
+        while i < ndirs:
             q, p = dirs[i]
             norm = norms[i]
             t = 1
@@ -145,6 +176,9 @@ def scan_generators(max_action: float, emit, max_grading=None,
                     px + t * q, py + t * p, sum_t + t, inner2a + add2a)
                 chosen.pop()
                 t += 1
+            # t == 1: dirs[i] failed the budget or the grading bound at once,
+            # and so does its whole right subtree
+            i = skip[i] if t == 1 else i + 1
 
     for sp in (0, 1):
         for ep in (0, 1):

@@ -289,8 +289,27 @@ def _emit(output_format: str, command: str, columns, rows, out) -> None:
         out.write("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
 
 
+def _unknown_global_flag(argv):
+    """The first flag before the command that kech does not define, or None.
+
+    argparse would read such a flag's value as the command and report only
+    that value as an invalid choice.  The global flags are mirrored here with
+    optional values, so this pass never fails on its own.
+    """
+    known = argparse.ArgumentParser(add_help=False)
+    known.add_argument("-h", "--help", nargs="?")
+    known.add_argument("--format", nargs="?")
+    _, rest = known.parse_known_args(argv)
+    if rest and rest[0].startswith("-") and rest[0] != "--":
+        return rest[0]
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    flag = _unknown_global_flag(argv)
+    if flag is not None:
+        parser.error("unrecognized arguments: %s" % flag)
     args = parser.parse_args(argv)
     try:
         columns, rows, code = args.handler(args)

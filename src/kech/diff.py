@@ -43,7 +43,11 @@ from .paths import (
 
 
 class Chain:
-    """Formal GF(2) sum of paths; addition is symmetric difference."""
+    """Formal GF(2) sum of paths; addition is symmetric difference.
+
+    Iteration visits the terms in no set order; ``terms()`` and ``str`` list
+    them sorted by spec.
+    """
 
     __slots__ = ("_paths",)
 
@@ -70,7 +74,7 @@ class Chain:
         return bool(self._paths)
 
     def __iter__(self):
-        return iter(self.terms())
+        return iter(self._paths)
 
     def __contains__(self, path: KLatticePath) -> bool:
         return path in self._paths
@@ -253,6 +257,6 @@ def differential(path: KLatticePath) -> Chain:
     """Full boundary: interior rounding + corner move + wall move, mod 2."""
     validate(path)
     total = round_interior(path) + c_op(path) + d_op(path)
-    for term in total.terms():
+    for term in total:
         validate(term)
     return total

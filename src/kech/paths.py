@@ -286,15 +286,13 @@ def format_path(path: KLatticePath) -> str:
 def total_class(obj) -> H1Class:
     """Total first-homology class of a path or an iterable of orbit atoms."""
     if isinstance(obj, KLatticePath):
-        total = ZERO_CLASS
+        # mult copies of direction_class(q, p)
+        total = H1Class(sum(2 * g.p * g.mult for g in obj.groups), 0,
+                        sum(g.q * g.mult for g in obj.groups) % 2)
         if obj.start_pair:
             total = total + PAIR_MINUS_CLASS
         if obj.end_pair:
             total = total + PAIR_PLUS_CLASS
-        for g in obj.groups:
-            c = direction_class(g.q, g.p)
-            for _ in range(g.mult):
-                total = total + c
         return total
     total = ZERO_CLASS
     for atom in obj:

@@ -7,6 +7,8 @@ from _naive import naive_generators
 from kech.census import (
     BitMatrix,
     ComplexSlice,
+    _directions,
+    _skips,
     boundary_matrix,
     generators_of_grading,
     generators_up_to_action,
@@ -148,3 +150,25 @@ def test_scan_emit_sequence_digests():
 
         scan_generators(max_action, emit, max_grading, h_free)
         assert (emits, digest.hexdigest()) == expected, case
+
+
+def test_skip_runs_cannot_beat_their_head():
+    # the scan jumps from dirs[i] to dirs[skip[i]] when dirs[i] fails the
+    # action budget or the t = 1 grading bound; both grow over the run
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    for cap in range(3, 13):
+        dirs = _directions(cap)
+        norms2 = [q * q + p * p for q, p in dirs]
+        skip = _skips(norms2)
+        assert any(s > i + 1 for i, s in enumerate(skip)), cap
+        for i, d in enumerate(dirs):
+            assert i < skip[i] <= len(dirs)
+            if skip[i] < len(dirs):
+                assert norms2[skip[i]] < norms2[i]
+            for j in range(i + 1, skip[i]):
+                assert norms2[j] >= norms2[i], (cap, d, dirs[j])
+                for k in range(i):
+                    assert cross(dirs[k], dirs[j]) >= cross(dirs[k], d), (
+                        cap, dirs[k], d, dirs[j])

@@ -202,4 +202,4 @@ def test_removed_threads_and_cache_dir_flags_exit_usage(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["validate", "0"])
         assert exc.value.code == EXIT_USAGE, argv
-    capsys.readouterr()
+        assert argv[0] in capsys.readouterr().err, argv

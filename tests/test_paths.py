@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from kech.census import generators_up_to_action
 from kech.paths import (
     EMPTY_PATH,
     EdgeGroup,
@@ -23,6 +25,7 @@ from kech.paths import (
     h_count,
     is_valid,
     middle_groups,
+    orbit_class,
     pair_count,
     parse_path,
     slope_before,
@@ -144,6 +147,37 @@ def test_torsion_component_wraps_mod_two():
     two = build_path(False, False, 0, 0, [EdgeGroup(1, 0, 2, False)])
     assert total_class(two) == H1Class(0, 0, 0)
     assert is_valid(two)
+
+
+def _atom_by_atom_class(path):
+    atoms = ["h1-", "h2-"] if path.start_pair else []
+    for g in path.groups:
+        atoms += [("h", g.q, g.p)] if g.h_flag else []
+        atoms += [("e", g.q, g.p)] * g.e_mult
+    atoms += ["h1+", "h2+"] if path.end_pair else []
+    total = H1Class(0, 0, 0)
+    for atom in atoms:
+        total = total + orbit_class(atom)
+    return total
+
+
+def test_total_class_matches_atom_by_atom_sum():
+    paths = list(generators_up_to_action(8.0).all_generators())
+    rng = random.Random(7)
+    dirs = [(q, p) for q in range(4) for p in range(-4, 5)
+            if math.gcd(q, abs(p)) == 1]
+    for _ in range(2000):
+        groups = tuple(
+            EdgeGroup(q, p, rng.randint(0, 3), q > 0 and rng.random() < 0.3)
+            for q, p in rng.sample(dirs, rng.randint(0, 5)))
+        paths.append(KLatticePath(rng.random() < 0.5, rng.random() < 0.5,
+                                  groups))
+    nonzero = 0
+    for path in paths:
+        expect = _atom_by_atom_class(path)
+        assert total_class(path) == expect, path.groups
+        nonzero += not expect.is_zero
+    assert nonzero > 1500
 
 
 def test_grading_and_action_oracle():
