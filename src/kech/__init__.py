@@ -14,7 +14,13 @@ from .census import (
     generators_up_to_action,
 )
 from .diff import Chain, c_op, d_op, differential, round_interior
-from .homology import betti, d_squared_report, gf2_rank, stabilized_betti
+from .homology import (
+    betti,
+    betti_numbers,
+    d_squared_report,
+    gf2_rank,
+    stabilized_betti,
+)
 from .indexes import (
     CurveData,
     conley_zehnder,

@@ -15,7 +15,7 @@ import sys
 
 from .census import generators_up_to_action
 from .diff import differential
-from .homology import betti, d_squared_report
+from .homology import betti_numbers, d_squared_report
 from .paths import (
     PathError,
     action,
@@ -146,7 +146,6 @@ def _cmd_grade(args):
 
 def _cmd_diff(args):
     path = parse_path(args.spec)
-    validate(path)
     rows = [{"spec": format_path(term), "grading": grading(term),
              "action": action(term)}
             for term in differential(path).terms()]
@@ -183,8 +182,8 @@ def _cmd_homology(args):
     max_action = _action_bound(args)
     if args.max_degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    rows = [{"degree": k, "betti": betti(k, max_action)}
-            for k in range(args.max_degree + 1)]
+    rows = [{"degree": k, "betti": b}
+            for k, b in enumerate(betti_numbers(args.max_degree, max_action))]
     return (("degree", "betti"), rows, EXIT_OK)
 
 
@@ -246,7 +245,6 @@ def _cmd_gromov(args):
 def _cmd_obstruct(args):
     domain = parse_domain(args.domain)
     path = parse_path(args.lambda_prime)
-    validate(path)
     result = embedding_obstructed(domain, path)
     row = {"domain": domain.describe(), "generator": format_path(path),
            "obstructed": result}

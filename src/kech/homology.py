@@ -61,6 +61,21 @@ def betti(k: int, max_action: float) -> int:
     return (len(cols_k) - rank_down) - rank_up
 
 
+def betti_numbers(max_degree: int, max_action: float):
+    """[betti(k, max_action) for k = 0 .. max_degree] from one slice.
+
+    With r_j = rank(boundary: C_j -> C_{j-1}), betti_k = |C_k| - r_k - r_{k+1};
+    each r_j is computed once.
+    """
+    if max_degree < 0:
+        raise ValueError("grading must be nonnegative")
+    sl = generators_up_to_action(max_action, max_grading=max_degree + 1)
+    ranks = [gf2_rank(boundary_columns(sl.generators(j - 1), sl.generators(j)))
+             for j in range(max_degree + 2)]
+    return [len(sl.generators(k)) - ranks[k] - ranks[k + 1]
+            for k in range(max_degree + 1)]
+
+
 def stabilized_betti(k: int, max_bound: float = 32.0):
     """Double the action bound from 4 until the dimension stops moving.
 

@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 #: Absolute tolerance for comparing floating-point actions.
 TOL = 1e-9
@@ -40,8 +41,7 @@ class PathSemanticsError(PathError):
     """Text parses but violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class EdgeGroup:
+class EdgeGroup(NamedTuple):
     """All parallel edges of one primitive direction (q, p)."""
 
     q: int
@@ -122,9 +122,12 @@ def slope_before(q1: int, p1: int, q2: int, p2: int) -> bool:
     return q1 * p2 - p1 * q2 > 0 or (q1 == q2 == 0 and p1 < p2)
 
 
-@dataclass(frozen=True)
-class KLatticePath:
-    """Canonical convex sub-axis path (possibly with half-arrow pairs)."""
+class KLatticePath(NamedTuple):
+    """Canonical convex sub-axis path (possibly with half-arrow pairs).
+
+    An immutable value: equality and hashing are those of the field tuple.
+    Paths have no order of their own; spec order is ``key=format_path``.
+    """
 
     start_pair: bool
     end_pair: bool
@@ -132,9 +135,6 @@ class KLatticePath:
 
     def __str__(self) -> str:
         return format_path(self)
-
-    def __lt__(self, other: "KLatticePath") -> bool:
-        return format_path(self) < format_path(other)
 
 
 EMPTY_PATH = KLatticePath(False, False, ())
@@ -151,22 +151,28 @@ def build_path(start_pair: bool, end_pair: bool, down: int, up: int, middle) -> 
     return KLatticePath(start_pair, end_pair, tuple(groups))
 
 
+# Slope order puts the down wall first and the up wall last, so the wall
+# accessors read only the two end groups.
+
 def down_run(path: KLatticePath) -> int:
-    for g in path.groups:
-        if g.vertical and g.p < 0:
-            return g.mult
+    groups = path.groups
+    if groups and groups[0].q == 0 and groups[0].p < 0:
+        return groups[0].mult
     return 0
 
 
 def up_run(path: KLatticePath) -> int:
-    for g in path.groups:
-        if g.vertical and g.p > 0:
-            return g.mult
+    groups = path.groups
+    if groups and groups[-1].q == 0 and groups[-1].p > 0:
+        return groups[-1].mult
     return 0
 
 
 def middle_groups(path: KLatticePath):
-    return tuple(g for g in path.groups if not g.vertical)
+    groups = path.groups
+    lo = 1 if groups and groups[0].q == 0 and groups[0].p < 0 else 0
+    hi = -1 if groups and groups[-1].q == 0 and groups[-1].p > 0 else len(groups)
+    return groups[lo:hi]
 
 
 def x_width(path: KLatticePath) -> int:
@@ -301,44 +307,53 @@ def total_class(obj) -> H1Class:
 
 
 def validate(path: KLatticePath) -> str:
-    """Check every invariant; return the type tag (I/II/III/IV/empty)."""
-    last = None
-    for g in path.groups:
-        if g.q < 0:
-            raise PathSemanticsError(f"negative horizontal component in ({g.q},{g.p})")
-        if g.q == 0 and g.p == 0:
-            raise PathSemanticsError("zero direction (0,0)")
-        if gcd(g.q, abs(g.p)) != 1:
-            raise PathSemanticsError(f"non-primitive direction ({g.q},{g.p})")
-        if g.e_mult < 0 or g.mult < 1:
-            raise PathSemanticsError(f"empty edge group on ({g.q},{g.p})")
-        if g.vertical and g.h_flag:
-            raise PathSemanticsError("vertical edges cannot be labeled h")
-        if last is not None and not slope_before(last.q, last.p, g.q, g.p):
-            raise PathSemanticsError("non-convex slope order")
-        last = g
+    """Check every invariant; return the type tag (I/II/III/IV/empty).
 
-    drop = (1 if path.start_pair else 0) + sum(
-        g.p * g.mult for g in path.groups if g.p < 0
-    ) * -1
-    rise = (1 if path.end_pair else 0) + sum(
-        g.p * g.mult for g in path.groups if g.p > 0
-    )
+    One pass over the groups checks each direction and the slope order and
+    sums the vertical travel and the x-width.  Once the vertical travel
+    closes, the total class is (0, 0, b) with b the parity of x-width plus
+    pair count, so only that bit is left to check.
+    """
+    start_pair, end_pair, groups = path
+    drop = 1 if start_pair else 0
+    rise = 1 if end_pair else 0
+    width = 0
+    last_q = last_p = None
+    for q, p, e_mult, h_flag in groups:
+        if q < 0:
+            raise PathSemanticsError(f"negative horizontal component in ({q},{p})")
+        if q == 0 and p == 0:
+            raise PathSemanticsError("zero direction (0,0)")
+        if gcd(q, abs(p)) != 1:
+            raise PathSemanticsError(f"non-primitive direction ({q},{p})")
+        mult = e_mult + 1 if h_flag else e_mult
+        if e_mult < 0 or mult < 1:
+            raise PathSemanticsError(f"empty edge group on ({q},{p})")
+        if q == 0 and h_flag:
+            raise PathSemanticsError("vertical edges cannot be labeled h")
+        if last_q is not None and not slope_before(last_q, last_p, q, p):
+            raise PathSemanticsError("non-convex slope order")
+        last_q, last_p = q, p
+        if p < 0:
+            drop -= p * mult
+        else:
+            rise += p * mult
+        width += q * mult
+
     if drop != rise:
         raise PathSemanticsError(
             f"vertical displacements do not close (down {drop}, up {rise})"
         )
-    cls = total_class(path)
-    if not cls.is_zero:
-        raise PathSemanticsError(f"nonzero total class {cls}")
+    if (width + (1 if start_pair else 0) + (1 if end_pair else 0)) % 2:
+        raise PathSemanticsError(f"nonzero total class {total_class(path)}")
 
-    if not path.groups and not path.start_pair and not path.end_pair:
+    if not groups and not start_pair and not end_pair:
         return "empty"
-    if path.start_pair and path.end_pair:
+    if start_pair and end_pair:
         return "IV"
-    if path.start_pair:
+    if start_pair:
         return "II"
-    if path.end_pair:
+    if end_pair:
         return "III"
     return "I"
 

@@ -13,18 +13,68 @@ from itertools import product
 from kech.paths import (
     EdgeGroup,
     PathError,
+    PathSemanticsError,
     action,
     build_path,
     down_run,
     format_path,
     middle_groups,
     parse_path,
+    slope_before,
+    total_class,
     up_run,
     validate,
 )
 from kech.toric import CgClass, cg_lattice_points, make_convex_generator, support_action
 
 EPS = 1e-9
+
+
+def naive_validate(path):
+    """Field-by-field validate: each check in its own pass, H1Class total.
+
+    Raises the same errors in the same order as ``kech.paths.validate`` and
+    returns the same type tag.
+    """
+    last = None
+    for g in path.groups:
+        if g.q < 0:
+            raise PathSemanticsError(f"negative horizontal component in ({g.q},{g.p})")
+        if g.q == 0 and g.p == 0:
+            raise PathSemanticsError("zero direction (0,0)")
+        if math.gcd(g.q, abs(g.p)) != 1:
+            raise PathSemanticsError(f"non-primitive direction ({g.q},{g.p})")
+        if g.e_mult < 0 or g.mult < 1:
+            raise PathSemanticsError(f"empty edge group on ({g.q},{g.p})")
+        if g.vertical and g.h_flag:
+            raise PathSemanticsError("vertical edges cannot be labeled h")
+        if last is not None and not slope_before(last.q, last.p, g.q, g.p):
+            raise PathSemanticsError("non-convex slope order")
+        last = g
+
+    drop = (1 if path.start_pair else 0) + sum(
+        g.p * g.mult for g in path.groups if g.p < 0
+    ) * -1
+    rise = (1 if path.end_pair else 0) + sum(
+        g.p * g.mult for g in path.groups if g.p > 0
+    )
+    if drop != rise:
+        raise PathSemanticsError(
+            f"vertical displacements do not close (down {drop}, up {rise})"
+        )
+    cls = total_class(path)
+    if not cls.is_zero:
+        raise PathSemanticsError(f"nonzero total class {cls}")
+
+    if not path.groups and not path.start_pair and not path.end_pair:
+        return "empty"
+    if path.start_pair and path.end_pair:
+        return "IV"
+    if path.start_pair:
+        return "II"
+    if path.end_pair:
+        return "III"
+    return "I"
 
 
 def primitive_middle_directions(cap):

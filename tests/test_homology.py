@@ -1,5 +1,13 @@
 from kech.census import BitMatrix, boundary_matrix, generators_up_to_action
-from kech.homology import betti, d_squared_report, gf2_rank, stabilized_betti
+import pytest
+
+from kech.homology import (
+    betti,
+    betti_numbers,
+    d_squared_report,
+    gf2_rank,
+    stabilized_betti,
+)
 
 
 def _matrix(rows, cols, entries):
@@ -73,3 +81,11 @@ def test_betti_rank_decomposition():
         r_in = gf2_rank(boundary_matrix(k + 1, bound))
         r_out = gf2_rank(boundary_matrix(k, bound))
         assert betti(k, bound) == dim - r_in - r_out
+
+
+def test_betti_numbers_match_betti_per_degree():
+    for max_degree, bound in ((0, 4.0), (5, 6.0), (6, 12.0)):
+        assert betti_numbers(max_degree, bound) == \
+            [betti(k, bound) for k in range(max_degree + 1)]
+    with pytest.raises(ValueError):
+        betti_numbers(-1, 4.0)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from _naive import naive_validate
 from kech.census import generators_up_to_action
 from kech.paths import (
     EMPTY_PATH,
@@ -286,3 +287,97 @@ def test_is_valid_mirror_of_validate():
     assert not is_valid(bad)
     with pytest.raises(PathSemanticsError):
         validate(bad)
+
+
+# The first words of each error validate can raise, in check order.
+VALIDATE_ERRORS = (
+    "negative horizontal component",
+    "zero direction",
+    "non-primitive direction",
+    "empty edge group",
+    "vertical edges cannot be labeled h",
+    "non-convex slope order",
+    "vertical displacements do not close",
+    "nonzero total class",
+)
+
+
+def _outcome(check, path):
+    try:
+        return check(path)
+    except PathError as exc:
+        return (type(exc), str(exc))
+
+
+def test_validate_matches_naive_validate_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    # the rarest outcomes need a closed path, so they are also given outright
+    @hypothesis.settings(max_examples=500, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.example(False, False, [(1, 0, 1, False)])
+    @hypothesis.example(False, False, [(1, 0, 2, False)])
+    @hypothesis.example(True, False, [(1, 1, 0, True)])
+    @hypothesis.example(False, True, [(1, -1, 0, True)])
+    @hypothesis.given(
+        start_pair=st.booleans(), end_pair=st.booleans(),
+        groups=st.lists(st.tuples(st.integers(-1, 3), st.integers(-3, 3),
+                                  st.integers(-1, 3), st.booleans()),
+                        max_size=4))
+    def check(start_pair, end_pair, groups):
+        path = KLatticePath(start_pair, end_pair,
+                            tuple(EdgeGroup(*g) for g in groups))
+        got = _outcome(validate, path)
+        assert got == _outcome(naive_validate, path)
+        if isinstance(got, tuple):
+            seen.update(e for e in VALIDATE_ERRORS if got[1].startswith(e))
+        else:
+            seen.add(got)
+
+    check()
+    assert seen == set(VALIDATE_ERRORS) | {"empty", "I", "II", "III", "IV"}
+
+
+def _random_built_paths(rng, count):
+    """Valid paths from build_path: random middle classes, walls that close."""
+    dirs = [(q, p) for q in range(1, 5) for p in range(-4, 5)
+            if math.gcd(q, abs(p)) == 1]
+    paths = []
+    while len(paths) < count:
+        picks = sorted(rng.sample(dirs, rng.randint(0, 4)),
+                       key=lambda d: d[1] / d[0])
+        middle = []
+        for q, p in picks:
+            h = rng.random() < 0.4
+            middle.append(EdgeGroup(q, p, rng.randint(0 if h else 1, 3), h))
+        sp = rng.random() < 0.5
+        down = rng.randint(0, 3)
+        rise = sp + down - sum(g.p * g.mult for g in middle)
+        if rise < 0:
+            continue
+        ep = rise > 0 and rng.random() < 0.5
+        path = build_path(sp, ep, down, rise - ep, middle)
+        if is_valid(path):
+            paths.append(path)
+    return paths
+
+
+def test_paths_are_immutable_values():
+    paths = list(generators_up_to_action(8.0).all_generators())
+    paths += _random_built_paths(random.Random(11), 2000)
+    for path in paths:
+        again = parse_path(format_path(path))
+        assert again == path and hash(again) == hash(path), path
+        # a path hashes as the tuple of its fields, groups likewise
+        assert hash(path) == hash((path.start_pair, path.end_pair, path.groups))
+        for g in path.groups:
+            assert hash(g) == hash((g.q, g.p, g.e_mult, g.h_flag))
+    path = parse_path("H-;h(1,-1);h(2,1);e(0,1)")
+    for field in ("start_pair", "end_pair", "groups"):
+        with pytest.raises(AttributeError):
+            setattr(path, field, ())
+    for field in ("q", "p", "e_mult", "h_flag"):
+        with pytest.raises(AttributeError):
+            setattr(path.groups[0], field, 0)
