@@ -5,11 +5,14 @@ import pytest
 from kech.census import generators_up_to_action
 from kech.diff import Chain, c_op, d_op, differential, round_interior
 from kech.paths import (
+    EdgeGroup,
+    KLatticePath,
     action,
     format_path,
     grading,
     is_valid,
     parse_path,
+    validate,
 )
 
 
@@ -133,3 +136,20 @@ def test_differential_digest_of_action_8_slice():
         count += 1
     assert count == 2517
     assert digest.hexdigest() == ACTION_8_DIFFERENTIAL_SHA256
+
+
+def mirror(path):
+    """Reflection in a vertical line: the two ends swap, slopes flip sign."""
+    return KLatticePath(path.end_pair, path.start_pair, tuple(
+        EdgeGroup(q, -p, e, h) for q, p, e, h in reversed(path.groups)))
+
+
+def test_differential_commutes_with_mirror():
+    count = 0
+    for p in generators_up_to_action(8.0).all_generators():
+        m = mirror(p)
+        validate(m)
+        assert {mirror(t) for t in differential(p)} == set(differential(m)), (
+            format_path(p))
+        count += 1
+    assert count == 2517
