@@ -9,17 +9,21 @@ drops the grading by exactly 1 and strictly decreases action:
   concave corner strictly below the axis, redistributing the freed
   hyperbolic labels over the newly created edge classes in the slope zone
   between the two corner directions;
-- the corner move C: when the path begins (ends) with a hyperbolic class and
-  no wall, drop the end column, which holds only its axis point (steep
-  slopes, creating a half-arrow pair), or the two end columns (shallow
+- the corner move C: when the path begins with a hyperbolic class and no
+  wall, drop the first column, which holds only its axis point (steep
+  slopes, creating a half-arrow pair), or the first two columns (shallow
   slopes, no pair);
-- the wall move D: when a half-arrow pair is immediately followed (preceded)
-  by a hyperbolic class, drop the end column, which holds the two wall
-  points the pair occupies.
+- the wall move D: when a half-arrow pair is immediately followed by a
+  hyperbolic class, drop the first column, which holds the two wall points
+  the pair occupies.
 
-All moves re-trace the edited profile with ``_skeleton``: its left wall,
-lower convex hull and right wall, starting at the origin.  Outputs
-accumulate modulo 2 (duplicate terms cancel).
+C and D are written for the start of a path only.  Reflecting a path in a
+vertical line (``_mirror``) swaps its ends and commutes with every move, so
+the move at the end is the start move of the mirrored path, mirrored back.
+All moves re-trace the edited profile with ``_skeleton`` (its left wall,
+lower convex hull and right wall, starting at the origin) and build their
+output with ``_assemble``.  Outputs accumulate modulo 2 (duplicate terms
+cancel).
 """
 
 from __future__ import annotations
@@ -32,12 +36,9 @@ from .paths import (
     KLatticePath,
     build_path,
     column_bottoms,
-    down_run,
     format_path,
     lower_hull,
-    middle_groups,
     slope_before,
-    up_run,
     validate,
 )
 
@@ -53,10 +54,6 @@ class Chain:
 
     def __init__(self, paths=()):
         self._paths = frozenset(paths)
-
-    @classmethod
-    def zero(cls) -> "Chain":
-        return cls()
 
     def __add__(self, other: "Chain") -> "Chain":
         return Chain(self._paths ^ other._paths)
@@ -112,77 +109,56 @@ def _skeleton(bottoms):
 
 
 # ---------------------------------------------------------------------------
+# Output assembly and the mirror
+
+
+def _assemble(sp, ep, skel, hyperbolic):
+    """Path on the skeleton with pairs sp/ep; directions in hyperbolic keep h.
+
+    A pair takes one unit of its wall's depth.
+    """
+    down, middle, up = skel
+    out_mid = [EdgeGroup(q, p, mult - 1, True) if (q, p) in hyperbolic
+               else EdgeGroup(q, p, mult, False) for q, p, mult in middle]
+    return build_path(sp, ep, down - sp, up - ep, out_mid)
+
+
+def _mirror(path: KLatticePath) -> KLatticePath:
+    """Reflection in a vertical line: the ends swap and every slope flips."""
+    return KLatticePath(path.end_pair, path.start_pair, tuple(
+        EdgeGroup(q, -p, e, h) for q, p, e, h in reversed(path.groups)))
+
+
+# ---------------------------------------------------------------------------
 # Interior rounding
-
-
-def _edge_objects(path: KLatticePath):
-    """Edge sequence with kinds, directions and endpoint positions."""
-    edges = []
-    y = 0
-    x = 0
-    if path.start_pair:
-        edges.append(("pair", (0, -1), (0, 0), (0, -1)))
-        y = -1
-    d = down_run(path)
-    if d:
-        edges.append(("vert", (0, -1), (0, y), (0, y - d)))
-        y -= d
-    for g in middle_groups(path):
-        nx, ny = x + g.q * g.mult, y + g.p * g.mult
-        edges.append(("class", (g.q, g.p), (x, y), (nx, ny)))
-        x, y = nx, ny
-    u = up_run(path)
-    if u:
-        edges.append(("vert", (0, 1), (x, y), (x, y + u)))
-        y += u
-    if path.end_pair:
-        edges.append(("pair", (0, 1), (x, y), (x, y + 1)))
-        y += 1
-    return edges
 
 
 def round_interior(path: KLatticePath) -> Chain:
     """Sum of all corner-rounding outputs of the path."""
-    edges = _edge_objects(path)
+    groups = path.groups
+    flagged = {(q, p) for q, p, _, h in groups if h}
     bottoms = column_bottoms(path)
-    in_flags = {(g.q, g.p): g.h_flag for g in middle_groups(path)}
     acc = set()
-    for before, after in zip(edges, edges[1:]):
-        if before[0] == "pair" or after[0] == "pair":
-            continue
-        h_before = before[0] == "class" and in_flags[before[1]]
-        h_after = after[0] == "class" and in_flags[after[1]]
-        if not (h_before or h_after):
-            continue
-        cx, cy = before[3]
-        if cy >= 0:
+    # corners join consecutive groups, since pair edges sit only at the two
+    # ends; on a valid path every corner lies strictly below the axis
+    x = 0
+    for before, after in zip(groups, groups[1:]):
+        x += before.q * before.mult
+        n_h = before.h_flag + after.h_flag - 1
+        if n_h < 0:
             continue
         rounded = bottoms.copy()
-        rounded[cx] += 1  # the corner is the bottom of its column
+        rounded[x] += 1  # the corner is the bottom of its column
         skel = _skeleton(rounded)
         if skel is None:
             continue
-        down, middle, up = skel
-        n_h = (1 if h_before else 0) + (1 if h_after else 0) - 1
-        lo, hi = before[1], after[1]
-        zone = [i for i, (q, p, _) in enumerate(middle)
-                if q > 0 and not slope_before(q, p, *lo) and not slope_before(*hi, q, p)]
+        zone = [(q, p) for q, p, _ in skel[1]
+                if not slope_before(q, p, before.q, before.p)
+                and not slope_before(after.q, after.p, q, p)]
+        kept = flagged.difference(zone)
         for placed in combinations(zone, n_h):
-            out_mid = []
-            for i, (q, p, mult) in enumerate(middle):
-                if i in zone:
-                    h = i in placed
-                else:
-                    h = in_flags.get((q, p), False)
-                out_mid.append(EdgeGroup(q, p, mult - (1 if h else 0), h))
-            out = build_path(
-                path.start_pair,
-                path.end_pair,
-                down - (1 if path.start_pair else 0),
-                up - (1 if path.end_pair else 0),
-                out_mid,
-            )
-            acc ^= {out}
+            acc ^= {_assemble(path.start_pair, path.end_pair, skel,
+                              kept.union(placed))}
     return Chain(acc)
 
 
@@ -190,67 +166,55 @@ def round_interior(path: KLatticePath) -> Chain:
 # C and D moves
 
 
-def _assemble(path, skel, operated, make_start_pair=False, make_end_pair=False,
-              drop_start_pair=False, drop_end_pair=False):
-    down, middle, up = skel
-    sp = (path.start_pair and not drop_start_pair) or make_start_pair
-    ep = (path.end_pair and not drop_end_pair) or make_end_pair
-    in_flags = {(g.q, g.p): g.h_flag for g in middle_groups(path)}
-    out_mid = []
-    for q, p, mult in middle:
-        h = in_flags.get((q, p), False) and (q, p) != operated
-        out_mid.append(EdgeGroup(q, p, mult - (1 if h else 0), h))
-    down -= 1 if sp else 0
-    up -= 1 if ep else 0
-    if down < 0 or up < 0:
-        raise AssertionError("wall shorter than its half-arrow pair")
-    return build_path(sp, ep, down, up, out_mid)
+def _start_move(path: KLatticePath):
+    """C or D move at the start of a path whose first group is hyperbolic.
+
+    D when the path starts with a pair, else C; None when the move does not
+    fire.
+    """
+    q, p = path.groups[0][:2]
+    if path.start_pair:
+        drop, sp = 1, False
+    elif p <= -q:
+        drop, sp = 1, True
+    elif p < 0:
+        drop, sp = 2, False
+    else:
+        return None
+    skel = _skeleton(column_bottoms(path)[drop:])
+    if skel is None:
+        return None
+    flagged = {(gq, gp) for gq, gp, _, h in path.groups if h}
+    flagged.discard((q, p))
+    return _assemble(sp, path.end_pair, skel, flagged)
+
+
+def _end_moves(path: KLatticePath, paired: bool) -> Chain:
+    """C moves (paired False) or D moves (paired True) at both ends.
+
+    The end move is the start move of the mirrored path, mirrored back.
+    """
+    groups = path.groups
+    acc = set()
+    if groups and groups[0].h_flag and path.start_pair == paired:
+        out = _start_move(path)
+        if out is not None:
+            acc ^= {out}
+    if groups and groups[-1].h_flag and path.end_pair == paired:
+        out = _start_move(_mirror(path))
+        if out is not None:
+            acc ^= {_mirror(out)}
+    return Chain(acc)
 
 
 def c_op(path: KLatticePath) -> Chain:
     """Corner move at the start and/or end of the path."""
-    acc = set()
-    mids = middle_groups(path)
-
-    if mids and not path.start_pair and down_run(path) == 0 and mids[0].h_flag:
-        g = mids[0]
-        if g.p <= -g.q:
-            skel = _skeleton(column_bottoms(path)[1:])
-            if skel is not None:
-                acc ^= {_assemble(path, skel, (g.q, g.p), make_start_pair=True)}
-        elif g.p < 0:
-            skel = _skeleton(column_bottoms(path)[2:])
-            if skel is not None:
-                acc ^= {_assemble(path, skel, (g.q, g.p))}
-
-    if mids and not path.end_pair and up_run(path) == 0 and mids[-1].h_flag:
-        g = mids[-1]
-        if g.p >= g.q:
-            skel = _skeleton(column_bottoms(path)[:-1])
-            if skel is not None:
-                acc ^= {_assemble(path, skel, (g.q, g.p), make_end_pair=True)}
-        elif g.p > 0:
-            skel = _skeleton(column_bottoms(path)[:-2])
-            if skel is not None:
-                acc ^= {_assemble(path, skel, (g.q, g.p))}
-    return Chain(acc)
+    return _end_moves(path, False)
 
 
 def d_op(path: KLatticePath) -> Chain:
     """Wall move consuming a half-arrow pair and its adjacent h class."""
-    acc = set()
-    mids = middle_groups(path)
-
-    if mids and path.start_pair and down_run(path) == 0 and mids[0].h_flag:
-        skel = _skeleton(column_bottoms(path)[1:])
-        if skel is not None:
-            acc ^= {_assemble(path, skel, (mids[0].q, mids[0].p), drop_start_pair=True)}
-
-    if mids and path.end_pair and up_run(path) == 0 and mids[-1].h_flag:
-        skel = _skeleton(column_bottoms(path)[:-1])
-        if skel is not None:
-            acc ^= {_assemble(path, skel, (mids[-1].q, mids[-1].p), drop_end_pair=True)}
-    return Chain(acc)
+    return _end_moves(path, True)
 
 
 def differential(path: KLatticePath) -> Chain:

@@ -52,13 +52,7 @@ def d_squared_report(max_action: float):
 
 def betti(k: int, max_action: float) -> int:
     """dim ker(boundary at grading k) - rank(boundary from grading k+1)."""
-    if k < 0:
-        raise ValueError("grading must be nonnegative")
-    sl = generators_up_to_action(max_action, max_grading=k + 1)
-    cols_k = sl.generators(k)
-    rank_down = gf2_rank(boundary_columns(sl.generators(k - 1), cols_k))
-    rank_up = gf2_rank(boundary_columns(cols_k, sl.generators(k + 1)))
-    return (len(cols_k) - rank_down) - rank_up
+    return betti_numbers(k, max_action)[k]
 
 
 def betti_numbers(max_degree: int, max_action: float):

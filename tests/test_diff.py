@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from kech.paths import (
     EdgeGroup,
     KLatticePath,
     action,
+    build_path,
     format_path,
     grading,
     is_valid,
@@ -153,3 +155,55 @@ def test_differential_commutes_with_mirror():
             format_path(p))
         count += 1
     assert count == 2517
+
+
+# primitive non-vertical directions with q, |p| <= 4, in slope order
+DIRECTIONS = sorted(((q, p) for q in range(1, 5) for p in range(-4, 5)
+                     if math.gcd(q, abs(p)) == 1), key=lambda d: d[1] / d[0])
+
+
+def test_differential_properties_on_large_generators():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def generators(draw):
+        """A valid path of action 14-20: random classes, closing walls."""
+        sp, ep = draw(st.booleans()), draw(st.booleans())
+        classes = draw(st.dictionaries(
+            st.sampled_from(DIRECTIONS),
+            st.tuples(st.integers(1, 3), st.booleans()),
+            min_size=1, max_size=4))
+        travel = ep - sp + sum(p * m for (_, p), (m, _) in classes.items())
+        pad = draw(st.integers(0, 1))
+        down, up = max(travel, 0) + pad, max(-travel, 0) + pad
+        # e(1,0) edges fix the parity and lift the action to at least 14
+        short = 14 - (sp + ep + down + up + sum(
+            m * math.hypot(q, p) for (q, p), (m, _) in classes.items()))
+        width = sp + ep + sum(q * m for (q, _), (m, _) in classes.items())
+        extra = width % 2 + 2 * max(0, math.ceil((short - width % 2) / 2))
+        if extra:
+            m, h = classes.get((1, 0), (0, False))
+            classes[(1, 0)] = (m + extra, h)
+        middle = [EdgeGroup(q, p, m - h, h) for (q, p), (m, h)
+                  in sorted(classes.items(), key=lambda c: c[0][1] / c[0][0])]
+        path = build_path(sp, ep, down, up, middle)
+        hypothesis.assume(action(path) <= 20)
+        return path
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(generators())
+    def check(p):
+        validate(p)
+        boundary = differential(p)
+        square = Chain()
+        for term in boundary:
+            validate(term)
+            assert grading(term) == grading(p) - 1, format_path(p)
+            assert action(term) < action(p) - 1e-9, format_path(p)
+            square = square + differential(term)
+        assert len(square) == 0, format_path(p)
+        assert {mirror(t) for t in boundary} == set(differential(mirror(p)))
+
+    check()
