@@ -107,11 +107,7 @@ def build_generator(sp, ep, m, n, chosen, marked):
     return build_path(sp == 1, ep == 1, m, n, groups)
 
 
-_NO_MARKS = frozenset()
-
-
-def scan_generators(max_action: float, emit, max_grading=None,
-                    h_free: bool = False):
+def scan_generators(max_action: float, emit, max_grading=None):
     """Core DFS over valid generators within the bounds.
 
     Calls emit(sp, ep, m, n, chosen, marked, grading, total_action) for every
@@ -145,16 +141,12 @@ def scan_generators(max_action: float, emit, max_grading=None,
             skeleton_i = inner2a + (sp + ep + m + n) * x + (m + n + sum_t)
             if max_grading is not None and skeleton_i - len(chosen) > max_grading:
                 return
-            if h_free:
-                if max_grading is None or skeleton_i <= max_grading:
-                    emit(sp, ep, m, n, chosen, _NO_MARKS, skeleton_i, total)
-            else:
-                for r in range(len(chosen) + 1):
-                    if max_grading is not None and skeleton_i - r > max_grading:
-                        continue
-                    for marked in combinations(range(len(chosen)), r):
-                        emit(sp, ep, m, n, chosen, frozenset(marked),
-                             skeleton_i - r, total)
+            for r in range(len(chosen) + 1):
+                if max_grading is not None and skeleton_i - r > max_grading:
+                    continue
+                for marked in combinations(range(len(chosen)), r):
+                    emit(sp, ep, m, n, chosen, frozenset(marked),
+                         skeleton_i - r, total)
             m += 1
 
     def rec(sp, ep, idx, chosen, used, px, py, sum_t, inner2a):
@@ -186,8 +178,7 @@ def scan_generators(max_action: float, emit, max_grading=None,
                 rec(sp, ep, 0, [], float(sp + ep), 0, 0, 0, 0)
 
 
-def generators_up_to_action(max_action: float, max_grading=None,
-                            h_free: bool = False) -> ComplexSlice:
+def generators_up_to_action(max_action: float, max_grading=None) -> ComplexSlice:
     """Complete canonical slice of the complex below an action bound."""
     per_degree = {}
 
@@ -195,7 +186,7 @@ def generators_up_to_action(max_action: float, max_grading=None,
         per_degree.setdefault(deg, []).append(
             build_generator(sp, ep, m, n, chosen, marked))
 
-    scan_generators(max_action, emit, max_grading, h_free)
+    scan_generators(max_action, emit, max_grading)
     for k in per_degree:
         per_degree[k] = tuple(sorted(per_degree[k], key=format_path))
     return ComplexSlice(float(max_action), per_degree)

@@ -26,7 +26,7 @@ from .paths import (
     total_class,
     validate,
 )
-from .spectrum import capacity, capacity_series, weyl_series
+from .spectrum import KMAX_LIMIT, capacity, capacity_series, weyl_series
 from .toric import (
     embedding_obstructed,
     format_convex_generator,
@@ -187,9 +187,17 @@ def _cmd_homology(args):
     return (("degree", "betti"), rows, EXIT_OK)
 
 
+def _within_reach(kmax: int) -> None:
+    if kmax > KMAX_LIMIT:
+        raise ValueError("kmax %d is out of reach: the capacity search takes "
+                         "up to a minute at kmax %d, the largest accepted"
+                         % (kmax, KMAX_LIMIT))
+
+
 def _cmd_capacity(args):
     if args.k is None and args.kmax is None:
         raise _UsageError("capacity needs --k or --kmax")
+    _within_reach(args.kmax if args.kmax is not None else args.k)
     if args.kmax is not None:
         start = args.k if args.k is not None else 0
         if start < 0 or args.kmax < start:
@@ -207,6 +215,7 @@ def _cmd_capacity(args):
 def _cmd_weyl(args):
     if args.kmax < 1:
         raise ValueError("kmax must be >= 1")
+    _within_reach(args.kmax)
     rows = [{"k": k, "value": value, "ratio": ratio}
             for k, value, ratio in weyl_series(args.kmax)]
     return (("k", "value", "ratio"), rows, EXIT_OK)

@@ -3,7 +3,9 @@
 Everything here re-derives results from first principles with plain nested
 enumeration.  The helpers use only constructors, validators, and evaluators
 (build_path, parse_path, validate, action, support) -- never the enumeration
-or search engines they are meant to check.
+or search engines they are meant to check.  The h-free scan and its pass loop
+are the capacity search as it stood before the slope-order dynamic program,
+kept as that program's oracle.
 """
 
 import math
@@ -86,6 +88,121 @@ def primitive_middle_directions(cap):
                 dirs.append((q, p))
     dirs.sort(key=lambda qp: Fraction(qp[1], qp[0]))
     return dirs
+
+
+def _skips(norms2):
+    """skip[i]: index of the next entry strictly smaller than norms2[i]."""
+    skip = [len(norms2)] * len(norms2)
+    stack = []
+    for i in range(len(norms2) - 1, -1, -1):
+        while stack and norms2[stack[-1]] >= norms2[i]:
+            stack.pop()
+        if stack:
+            skip[i] = stack[-1]
+        stack.append(i)
+    return skip
+
+
+def naive_h_free_scan(max_action, emit, max_grading=None):
+    """Depth-first scan over h-free generators within the bounds.
+
+    Calls emit(sp, ep, m, n, chosen, marked, grading, total_action) for every
+    h-free generator, with chosen the non-vertical class list [(q, p, t)...]
+    in slope order and marked always empty.  A direction that fails the
+    action budget or the t = 1 grading bound fails over its whole
+    Stern-Brocot right subtree, which the scan jumps past.
+    """
+    if max_action < 0:
+        return
+    dir_cap = max_action
+    if max_grading is not None:
+        dir_cap = min(dir_cap, 1.5 * max(max_grading, 1) + 1.5)
+    dirs = primitive_middle_directions(dir_cap)
+    norms2 = [q * q + p * p for q, p in dirs]
+    norms = [math.sqrt(n2) for n2 in norms2]
+    skip = _skips(norms2)
+    budget = max_action + EPS
+    no_marks = frozenset()
+
+    def close(sp, ep, chosen, used, x, sum_tp, sum_t, inner2a):
+        if (x + sp + ep) % 2 != 0:
+            return
+        shift = sp - ep - sum_tp
+        m = max(0, -shift)
+        while True:
+            n = m + shift
+            total = used + m + n
+            if total > budget:
+                return
+            skeleton_i = inner2a + (sp + ep + m + n) * x + (m + n + sum_t)
+            if max_grading is not None and skeleton_i - len(chosen) > max_grading:
+                return
+            if max_grading is None or skeleton_i <= max_grading:
+                emit(sp, ep, m, n, chosen, no_marks, skeleton_i, total)
+            m += 1
+
+    def rec(sp, ep, idx, chosen, used, px, py, sum_t, inner2a):
+        close(sp, ep, chosen, used, px, py, sum_t, inner2a)
+        if used + 1.0 > budget:
+            return
+        i = idx
+        while i < len(dirs):
+            q, p = dirs[i]
+            t = 1
+            while used + t * norms[i] <= budget:
+                add2a = (px * p - py * q) * t
+                lower = inner2a + add2a + sum_t + t - len(chosen) - 1
+                if max_grading is not None and lower > max_grading:
+                    break
+                chosen.append((q, p, t))
+                rec(sp, ep, i + 1, chosen, used + t * norms[i],
+                    px + t * q, py + t * p, sum_t + t, inner2a + add2a)
+                chosen.pop()
+                t += 1
+            i = skip[i] if t == 1 else i + 1
+
+    for sp in (0, 1):
+        for ep in (0, 1):
+            if sp + ep <= budget:
+                rec(sp, ep, 0, [], float(sp + ep), 0, 0, 0, 0)
+
+
+def h_free_path(sp, ep, m, n, chosen):
+    """The generator of one h-free scan emit."""
+    return build_path(sp == 1, ep == 1, m, n,
+                      [EdgeGroup(q, p, t, False) for q, p, t in chosen])
+
+
+def naive_bucket_minima(kmax):
+    """{k: witness} for k <= kmax by h-free scans at a rising action cap.
+
+    Each pass starts from the isoperimetric floor for c_kmax and keeps, per
+    bucket, the least action within EPS and then the least spec; the first
+    pass that fills every bucket ends the search.
+    """
+    cap = min(2.0 * kmax, (-math.pi + math.sqrt(math.pi ** 2 + 8.0 * math.pi * kmax)) / 2.0)
+    while True:
+        best = {}
+
+        def emit(sp, ep, m, n, chosen, marked, deg, total):
+            k = deg // 2
+            if k > kmax:
+                return
+            incumbent = best.get(k)
+            if incumbent is not None and total > incumbent[0] + EPS:
+                return
+            path = h_free_path(sp, ep, m, n, chosen)
+            spec = format_path(path)
+            if incumbent is None or total < incumbent[0] - EPS:
+                best[k] = (total, spec, path)
+            elif spec < incumbent[1]:
+                best[k] = (min(total, incumbent[0]), spec, path)
+
+        naive_h_free_scan(cap, emit, max_grading=2 * kmax)
+        if len(best) == kmax + 1:
+            return {k: path for k, (_, _, path) in best.items()}
+        assert cap < 2.0 * kmax, "capacity bucket empty below its own witness"
+        cap = min(cap + 0.5, 2.0 * kmax)
 
 
 def naive_generators(max_action):

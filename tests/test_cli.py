@@ -1,8 +1,11 @@
 import json
+import time
 
 import pytest
 
+import kech.spectrum
 from kech.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from kech.spectrum import KMAX_LIMIT
 
 
 def run(capsys, *argv):
@@ -127,6 +130,25 @@ def test_capacity_negative_exits_input(capsys):
     code, _, err = run(capsys, "capacity", "--k", "-3")
     assert code == EXIT_INPUT
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("capacity", "--k", "{}"),
+    ("capacity", "--kmax", "{}"),
+    ("capacity", "--k", "3", "--kmax", "{}"),
+    ("weyl", "--kmax", "{}"),
+])
+def test_out_of_reach_kmax_fails_fast(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("the capacity search ran")
+
+    monkeypatch.setattr(kech.spectrum, "_bucket_minima", refuse)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *(a.format(KMAX_LIMIT + 1) for a in argv))
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "out of reach" in err and str(KMAX_LIMIT) in err
 
 
 def test_weyl_rows(capsys):

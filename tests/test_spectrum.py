@@ -2,12 +2,18 @@ import math
 
 import pytest
 
-from _naive import naive_generators
+from _naive import naive_bucket_minima, naive_generators
 from kech.census import generators_up_to_action
-from kech.paths import action, format_path, grading, parse_path
+from kech.paths import TOL, action, format_path, grading, parse_path
 from kech.spectrum import (
     REFERENCE_CONTACT_VOLUME,
     CapacityResult,
+    _bucket_minima,
+    _dp_pass,
+    _exact_action,
+    _exact_less,
+    _exact_sum,
+    _sign,
     capacity,
     capacity_series,
     weyl_series,
@@ -98,6 +104,61 @@ def test_capacity_series_matches_pointwise():
         single = capacity(res.k)
         assert single.value == res.value
         assert format_path(single.witness) == format_path(res.witness)
+
+
+def isoperimetric_floor(k):
+    return (-math.pi + math.sqrt(math.pi ** 2 + 8.0 * math.pi * k)) / 2
+
+
+def test_sign_decides_a_pell_near_tie():
+    # 768398401^2 - 2 * 543339720^2 = 1: the two differ by about 6.5e-10,
+    # inside the float tie window, and the integer is the larger
+    a, b = _exact_sum([(768398401, 1)]), _exact_sum([(543339720, 2)])
+    assert abs(768398401 - 543339720 * SQ2) < TOL
+    assert _sign({1: 768398401, 2: -543339720}) == 1
+    assert _sign({1: -768398401, 2: 543339720}) == -1
+    assert _exact_less(b, a) and not _exact_less(a, b)
+    assert _sign({}) == 0
+
+
+def test_exact_keys_merge_square_factors():
+    assert _exact_sum([(1, 18)]) == _exact_sum([(3, 2)]) == {2: 3}
+    assert _exact_sum([(2, 8), (-4, 2), (1, 25)]) == {1: 5}
+    assert _exact_action(parse_path("H-;e(1,-1)^2;e(1,2);e(0,1)")) == {
+        1: 2, 2: 2, 5: 1}
+
+
+@pytest.mark.parametrize("kmax", list(range(1, 13)) + [20, 34])
+def test_capacity_series_matches_the_scan_oracle(kmax):
+    # the h-free scan and pass loop that the dynamic program replaced
+    naive = naive_bucket_minima(kmax)
+    series = capacity_series(kmax)
+    for res in series[1:]:
+        assert format_path(res.witness) == format_path(naive[res.k]), res.k
+        assert res.value == action(naive[res.k]), res.k
+
+
+def test_growth_stays_between_floor_and_volume_limit():
+    series = capacity_series(100)
+    for res in series[1:]:
+        ratio = res.value ** 2 / res.k
+        assert isoperimetric_floor(res.k) ** 2 / res.k - 1e-9 <= ratio, res.k
+        assert ratio <= 2.0 * math.pi + 0.3, res.k
+        assert grading(res.witness) == 2 * res.k
+    assert round(series[100].value, 4) == 24.3492
+
+
+def test_cap_rise_from_below_ends_at_the_same_series():
+    kmax = 24
+    low = capacity_series(kmax)[kmax].value - 1.5
+    # a pass at this cap leaves the top buckets empty, so the cap must rise
+    assert len(_dp_pass(kmax, low)) < kmax + 1
+    risen = _bucket_minima(kmax, cap=low)
+    default = _bucket_minima(kmax)
+    assert risen.keys() == default.keys()
+    for k, res in default.items():
+        assert risen[k].value == res.value, k
+        assert risen[k].witness == res.witness, k
 
 
 def test_capacity_rejects_negative_index():
