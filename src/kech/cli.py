@@ -28,6 +28,7 @@ from .paths import (
 )
 from .spectrum import KMAX_LIMIT, capacity, capacity_series, weyl_series
 from .toric import (
+    K_LIMIT,
     embedding_obstructed,
     format_convex_generator,
     gromov_upper,
@@ -187,17 +188,18 @@ def _cmd_homology(args):
     return (("degree", "betti"), rows, EXIT_OK)
 
 
-def _within_reach(kmax: int) -> None:
-    if kmax > KMAX_LIMIT:
-        raise ValueError("kmax %d is out of reach: the capacity search takes "
-                         "up to a minute at kmax %d, the largest accepted"
-                         % (kmax, KMAX_LIMIT))
+def _within_reach(name: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError("%s %d is out of reach: the search takes up to a "
+                         "minute at %s %d, the largest accepted"
+                         % (name, value, name, limit))
 
 
 def _cmd_capacity(args):
     if args.k is None and args.kmax is None:
         raise _UsageError("capacity needs --k or --kmax")
-    _within_reach(args.kmax if args.kmax is not None else args.k)
+    _within_reach("kmax", args.kmax if args.kmax is not None else args.k,
+                  KMAX_LIMIT)
     if args.kmax is not None:
         start = args.k if args.k is not None else 0
         if start < 0 or args.kmax < start:
@@ -215,7 +217,7 @@ def _cmd_capacity(args):
 def _cmd_weyl(args):
     if args.kmax < 1:
         raise ValueError("kmax must be >= 1")
-    _within_reach(args.kmax)
+    _within_reach("kmax", args.kmax, KMAX_LIMIT)
     rows = [{"k": k, "value": value, "ratio": ratio}
             for k, value, ratio in weyl_series(args.kmax)]
     return (("k", "value", "ratio"), rows, EXIT_OK)
@@ -225,6 +227,7 @@ def _cmd_cap_toric(args):
     domain = parse_domain(args.domain)
     if args.k < 0:
         raise ValueError("capacity index must be nonnegative")
+    _within_reach("k", args.k, K_LIMIT)
     value, witness = toric_capacity_detail(domain, args.k)
     row = {"domain": domain.describe(), "k": args.k, "value": value,
            "witness": format_convex_generator(witness)}

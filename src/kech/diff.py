@@ -217,10 +217,31 @@ def d_op(path: KLatticePath) -> Chain:
     return _end_moves(path, True)
 
 
-def differential(path: KLatticePath) -> Chain:
-    """Full boundary: interior rounding + corner move + wall move, mod 2."""
-    validate(path)
-    total = round_interior(path) + c_op(path) + d_op(path)
+def _boundary(path: KLatticePath) -> Chain:
+    """The differential of a path known to be valid, with no validation."""
+    return round_interior(path) + c_op(path) + d_op(path)
+
+
+def differential(path: KLatticePath, checked=None) -> Chain:
+    """Full boundary: interior rounding + corner move + wall move, mod 2.
+
+    The path and every term are validated.  checked, a dict a caller keeps
+    across calls, has the paths already validated among its keys: they are
+    not validated again, and the paths validated here join it with the
+    value None.  A caller's memo of boundaries can serve as checked.
+    """
+    if checked is None:
+        validate(path)
+        total = _boundary(path)
+        for term in total:
+            validate(term)
+        return total
+    if path not in checked:
+        validate(path)
+        checked[path] = None
+    total = _boundary(path)
     for term in total:
-        validate(term)
+        if term not in checked:
+            validate(term)
+            checked[term] = None
     return total

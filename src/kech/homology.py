@@ -30,12 +30,15 @@ def d_squared_report(max_action: float):
     differential squares to zero on the whole slice.
     """
     sl = generators_up_to_action(max_action)
+    # path -> its boundary, or None while it is only known to be valid, so
+    # that differential validates each distinct path once per report
     memo = {}
 
     def delta(path):
-        if path not in memo:
-            memo[path] = differential(path)
-        return memo[path]
+        chain = memo.get(path)
+        if chain is None:
+            chain = memo[path] = differential(path, memo)
+        return chain
 
     violations = []
     for path in sl.all_generators():

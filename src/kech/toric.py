@@ -15,6 +15,17 @@ generators is an exhaustive concave-path search pruned by three monotone
 quantities: the doubled lattice count and the partial action only grow along
 a branch, and the boundary slack 2(x + y) - doubled count only falls.  Each
 loop that makes children breaks at the first child that fails a bound.
+
+The all-elliptic capacity c_k (h = 0, grading 2k) takes three steps, in
+``kech.toric_dp``.  A forward sweep over the classes in steepness order
+gives the least action of every (x, D), at D = 2k + 2 the optimum v*.  A
+sweep from the steep end bounds from below the action of every completion
+of a prefix state.  The search is then replayed over the states whose
+least action plus that bound is within v* + 1e-6 only.  The replay keeps
+the search's witness rule (seeds first, the same child order, a new
+incumbent only when 1e-12 better), so it returns the search's witness;
+``toric_dp.replay`` gives the argument, and a replay that cannot vouch for
+its witness hands over to the full search.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from .paths import (
     up_run,
     validate,
 )
+from .toric_dp import MARGIN, replay
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +366,11 @@ def factorizations(path: KLatticePath):
 # ---------------------------------------------------------------------------
 # Minimization over convex generators
 
+#: Largest k the command line accepts for cap-toric.  toric_capacity_detail
+#: ends within a minute up to here on a 2-core Xeon with Python 3.11: 34 to
+#: 49 s at k = 2000 on balls, ellipsoids and quadrilaterals, 25 s at 1700.
+K_LIMIT = 2000
+
 
 def _pool_by_height(domain: ToricDomain, i_target: int):
     """Sloped primitive classes usable at this grading, in ascending height b.
@@ -410,6 +427,23 @@ def _triangle_family(lattice_target: int):
             out.append(classes)
         m += 1
     return out
+
+
+def _seed_classes(i_target: int):
+    """Class lists the search offers before it starts: the triangle family
+    and the single classes (half - 1, 1) and (1, half - 1)."""
+    seeds = _triangle_family(i_target // 2 + 1)
+    half = i_target // 2
+    for a in (half - 1, 1):
+        b = half - a
+        if a >= 1 and b >= 1 and gcd(a, b) == 1:
+            seeds.append([(a, b, 1)])
+    return seeds
+
+
+def _seed_action(domain: ToricDomain, classes) -> float:
+    """Action of a class list, summed as the search sums it."""
+    return sum(t * domain.support(b, a) for a, b, t in classes)
 
 
 def _min_action_search(domain: ToricDomain, i_target: int, xy_bound: int,
@@ -477,19 +511,10 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound: int,
             best_val = used
             best_wit = ConvexGenerator(tuple(groups))
 
-    def seed(classes):
+    for classes in _seed_classes(i_target):
         lattice, x, y = _lattice_terms(classes)
         n_sloped = sum(1 for a, b, _ in classes if a >= 1 and b >= 1)
-        used = sum(t * domain.support(b, a) for a, b, t in classes)
-        offer(classes, 2 * lattice, x, y, n_sloped, used)
-
-    for classes in _triangle_family(i_target // 2 + 1):
-        seed(classes)
-    half = i_target // 2
-    for a in (half - 1, 1):
-        b = half - a
-        if a >= 1 and b >= 1 and gcd(a, b) == 1:
-            seed([(a, b, 1)])
+        offer(classes, 2 * lattice, x, y, n_sloped, _seed_action(domain, classes))
 
     # least boundary slack a live node may have; h = 0 mode has no such bound
     g_floor = 2 * xy_bound - i_target - 2 if flexible_h else -inf
@@ -561,7 +586,22 @@ def toric_capacity_detail(domain: ToricDomain, k: int):
         raise ValueError("capacity index must be nonnegative")
     if k == 0:
         return 0.0, EMPTY_CONVEX
-    value, wit = _min_action_search(domain, 2 * k, 0, False)
+    i_target = 2 * k
+    seeds = [(c, _seed_action(domain, c)) for c in _seed_classes(i_target)]
+    # the classes in steepness order, leaving out any dearer than the
+    # sweeps' action bound
+    ceiling = min(u for _, u in seeds) + 2 * MARGIN
+    moves = [(a, b, cost) for b, alist, costs, _, _ in _pool_by_height(domain, i_target)
+             for a, cost in zip(alist, costs) if cost <= ceiling]
+    moves.sort(key=lambda move: move[1] / move[0])
+    moves = ([(1, 0, domain.support(0.0, 1.0))] + moves
+             + [(0, 1, domain.support(1.0, 0.0))])
+    found = replay(moves, i_target + 2, seeds)
+    if found is None:
+        value, wit = _min_action_search(domain, i_target, 0, False)
+    else:
+        value, classes = found
+        wit = ConvexGenerator(tuple(CgClass(a, b, t, False) for a, b, t in classes))
     if wit is None:
         raise AssertionError("toric capacity search lost its own seed family")
     return value, wit

@@ -1,0 +1,206 @@
+"""Dynamic programs over concave lattice paths for the h = 0 toric capacity.
+
+A convex generator's classes (a, -b) come in steepness order, and t copies
+of (a, b) appended at width x add t(2bx + 1 + a + b) + ab t^2 to the doubled
+count D of lattice points enclosed by the path and the axes.  The increment
+depends on the width alone, never on the height, so the least action of
+every (x, D) over all class lists in steepness order is one forward sweep;
+the all-elliptic generators of grading 2k are the lists ending at
+D = 2k + 2.  Read from the steep end, with a and b swapped, the same sweep
+gives the least action of every suffix (y, D_s), and a prefix (x, D) joined
+to a suffix (y, D_s) encloses D + D_s - 2 + 2xy doubled points.  The suffix
+table therefore bounds from below the action of every completion of a
+prefix state, and the search of ``kech.toric`` is replayed over only the
+states within MARGIN of the optimum, to pick the witness it would pick.
+"""
+
+from __future__ import annotations
+
+from math import inf
+
+#: Margin above the optimum within which completion_bound keeps every state.
+MARGIN = 1e-6
+
+
+def sweep(moves, roof: int, bound: float, other=None):
+    """Least action of every state (x, D) over class lists in the order moves.
+
+    moves lists (a, b, cost).  From (0, 2) at action 0, t copies of (a, b) at
+    width x lead to (x + at, D + t(2bx + 1 + a + b) + ab t^2) and add
+    t * cost, the float operation of the search, so a state's entry is the
+    least action the search can carry into it.  States with D > roof or
+    action > bound are dropped.  Returns layers with layers[x] = {D: action}.
+
+    D >= 2x + 2 (the axis points alone), which bounds x and lets a class
+    skip every layer where even its t = 1 move overshoots.  Layers are
+    walked from the widest down, so a class with a >= 1 only writes layers
+    it has already passed; a class with a = 0 writes its own layer and reads
+    a snapshot of it.
+
+    other, when given, is the sweep of the same classes from the other end;
+    a state is then also dropped when its action plus the least action of
+    any completion in other exceeds bound.
+    """
+    layers = [{} for _ in range(roof // 2)]
+    layers[0][2] = 0.0
+    rest = {}  # least completion of each state met, when other is given
+    top = 0
+    for a, b, cost in moves:
+        if cost > bound:
+            continue
+        lin0 = 1 + a + b
+        ab = a * b
+        fit = (roof - 3 - a - b - ab) // (2 * b + 2)
+        for x in range(min(top, fit), -1, -1):
+            layer = layers[x]
+            lin = 2 * b * x + lin0
+            for doubled, act in (list(layer.items()) if a == 0 else layer.items()):
+                t = 1
+                while True:
+                    nd = doubled + t * lin + ab * t * t
+                    nact = act + t * cost
+                    if nd > roof or nact > bound:
+                        break
+                    nx = x + a * t
+                    if other is not None:
+                        key = nx * (roof + 1) + nd
+                        if key not in rest:
+                            rest[key] = least_completion(other, nx, roof + 2 - nd)
+                        if nact + rest[key] > bound:
+                            t += 1
+                            continue
+                    row = layers[nx]
+                    old = row.get(nd)
+                    if old is None or nact < old:
+                        row[nd] = nact
+                    t += 1
+                if x + a * (t - 1) > top:
+                    top = x + a * (t - 1)
+    return layers
+
+
+def least_completion(layers, y: int, need: int) -> float:
+    """Least action of the states (x, need - 2xy) in layers.
+
+    With need = roof + 2 - D, these are the states of one sweep that join a
+    state (y, D) of the other sweep into a list ending at D = roof.
+    """
+    least = inf
+    x = 0
+    while need - 2 * x * y >= 2 * x + 2:
+        act = layers[x].get(need - 2 * x * y)
+        if act is not None and act < least:
+            least = act
+        x += 1
+    return least
+
+
+def completion_bound(moves, roof: int, incumbent: float):
+    """(cutoff, table, width) for class lists in steepness order ending at D = roof.
+
+    incumbent is the action of some such list.  The forward sweep's least
+    action at D = roof is the optimum v*, and cutoff = v* + MARGIN.
+    C(x, D) = min over y of S(y, roof + 2 - D - 2xy), with S the suffix
+    sweep, is at most the action of any completion of the prefix state
+    (x, D).  table[x * width + D] = (least action, C(x, D)) holds only the
+    states whose least action plus C(x, D) is within the cutoff: the states
+    that some list of action within the cutoff passes through.  The prefix
+    sweep drops states above incumbent + 2 * MARGIN, and the suffix sweep
+    those whose action plus their least completion in the prefix sweep
+    exceeds cutoff + MARGIN; no list within the cutoff passes through them.
+    """
+    prefix = sweep(moves, roof, incumbent + 2 * MARGIN)
+    cutoff = min(layer[roof] for layer in prefix if roof in layer) + MARGIN
+    suffix = sweep([(b, a, cost) for a, b, cost in reversed(moves)], roof,
+                   cutoff + MARGIN, prefix)
+    width = roof + 1
+    table = {}
+    for x, layer in enumerate(prefix):
+        for doubled, act in layer.items():
+            least = least_completion(suffix, x, roof + 2 - doubled)
+            if act + least <= cutoff:
+                table[x * width + doubled] = (act, least)
+    return cutoff, table, width
+
+
+def replay(moves, roof: int, seeds):
+    """The h = 0 search's answer, from a replay over the states near its optimum.
+
+    moves lists (a, b, cost) in steepness order; seeds lists the (classes,
+    action) the search offers before it starts, in its order.  The search
+    (``kech.toric._min_action_search``) offers the seeds, then walks class
+    lists depth first: children in the order horizontal, sloped by height
+    then width, vertical, each strictly steeper than the last class and
+    with t = 1, 2, ...  A child is visited when its doubled count is at most
+    roof and its action u is below the incumbent minus 1e-12; a list ending
+    at D = roof becomes the incumbent when its action is below the
+    incumbent minus 1e-12.  The replay walks the same tree in the same order
+    with one more condition: the child's state is in the table of
+    completion_bound and u plus its bound C is within the cutoff.  Every
+    list below a child that fails it has action above cutoff - s, with s
+    the rounding between summing a list's costs in two orders (under 1e-11
+    for actions up to 1e3; the argument needs s + 1e-12 < 2e-9).
+
+    The replay returns the search's answer.  Call a list deep when its
+    action is at most cutoff - 2e-9; the optimum, MARGIN below the cutoff,
+    is deep.  Suppose the replay offers no list within 2e-9 of the cutoff.
+    Before the first deep list in offer order its incumbents then lie above
+    cutoff + 2e-9, so it visits every list at or below cutoff - s; as none
+    of those lies within 2e-9 of the cutoff, the search's incumbents before
+    it lie above cutoff - s too.  Both take the first deep list.  From it on
+    both hold the same incumbent and make the same moves, since every list
+    the replay skips lies more than 1e-12 above it.
+
+    Returns (action, classes) with classes the winning [(a, b, t)], or None
+    when the replay offers a list within 2e-9 of the cutoff.
+    """
+    cutoff, table, width = completion_bound(
+        moves, roof, min(u for _, u in seeds))
+    # the search's child order: horizontal (b = 0) first, vertical (a = 0) last
+    order = sorted(moves, key=lambda move: (move[0] == 0, move[1], move[0]))
+    edges = {}
+    for key, (act, _) in table.items():
+        x, doubled = divmod(key, width)
+        budget = cutoff - act
+        out = edges[key] = []
+        for a, b, cost in order:
+            lin = 2 * b * x + 1 + a + b
+            t = 1
+            while t * cost <= budget:
+                nd = doubled + t * lin + a * b * t * t
+                if nd > roof:
+                    break
+                child = (x + a * t) * width + nd
+                if child in table:
+                    out.append((a, b, t, t * cost, child))
+                t += 1
+    best = inf
+    found = None
+    near = False
+
+    def offer(used, chosen):
+        nonlocal best, found, near
+        if cutoff - 2e-9 < used <= cutoff + 2e-9:
+            near = True
+        if used < best - 1e-12:
+            best = used
+            found = list(chosen)
+
+    def walk(key, last_a, last_b, used, chosen):
+        if key % width == roof:
+            offer(used, chosen)
+            return
+        for a, b, t, step, child in edges[key]:
+            if b * last_a <= last_b * a:
+                continue
+            new_used = used + step
+            if new_used >= best - 1e-12 or new_used + table[child][1] > cutoff:
+                continue
+            chosen.append((a, b, t))
+            walk(child, a, b, new_used, chosen)
+            chosen.pop()
+
+    for classes, action in seeds:
+        offer(action, classes)
+    walk(2, 1, -1, 0.0, [])  # the root (0, 2), below horizontal
+    return None if near else (best, found)

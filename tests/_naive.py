@@ -8,6 +8,7 @@ are the capacity search as it stood before the slope-order dynamic program,
 kept as that program's oracle.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from itertools import product
@@ -27,7 +28,15 @@ from kech.paths import (
     up_run,
     validate,
 )
-from kech.toric import CgClass, cg_lattice_points, make_convex_generator, support_action
+from kech.toric import (
+    CgClass,
+    ConvexGenerator,
+    cg_lattice_points,
+    cg_x,
+    cg_y,
+    make_convex_generator,
+    support_action,
+)
 
 EPS = 1e-9
 
@@ -401,3 +410,203 @@ def naive_convex_min_action(domain, i_target, xy_bound, flexible_h,
 
     rec(0, [])
     return best[0]
+
+
+# ---------------------------------------------------------------------------
+# The toric min-action search as a plain pruned depth-first search: the
+# engine of both modes before the h = 0 mode gained its completion bound.
+# Kept verbatim as the oracle of values and witnesses.
+
+
+def _naive_pool_by_height(domain, i_target):
+    """Sloped primitive classes usable at this grading, in ascending height b.
+
+    A lone sloped class (a, b) already encloses (ab + a + b + 3) / 2 lattice
+    points, and the enclosed count only grows as classes are added, so
+    classes with ab + a + b beyond the grading budget can never appear.
+    Returns [(b, alist, costs, floors, least)]: the ascending a list, the
+    aligned support costs, their suffix minima floors[i] = min(costs[i:]),
+    and least, the smallest cost at height b or above.  The minima, not the
+    raw costs, bound the search's cost breaks: support(b, a) need not grow
+    with a or b when a vertex sits within TOL below an axis.
+    """
+    budget = max(i_target, 1)
+    rows = []
+    least = math.inf
+    # every height with room for (1, b), tallest first so least is a running min
+    for b in range((budget - 1) // 2, 0, -1):
+        alist = []
+        costs = []
+        for a in range(1, budget + 1):
+            if a * b + a + b > budget:
+                break
+            if math.gcd(a, b) == 1:
+                alist.append(a)
+                costs.append(domain.support(b, a))
+        floors = list(itertools.accumulate(reversed(costs), min))[::-1]
+        least = min(least, floors[0])
+        rows.append((b, alist, costs, floors, least))
+    rows.reverse()
+    return rows
+
+
+def _naive_triangle_family(lattice_target):
+    """Candidate class lists e(1,0)^j e(1,1)^m e(0,1)^d hitting the target."""
+    out = []
+    m = 0
+    while m * (m + 3) // 2 + 1 <= lattice_target:
+        for d in range(0, lattice_target):
+            base = (m + 1) * (d + 1) + m * (m + 1) // 2
+            if base > lattice_target:
+                break
+            rem = lattice_target - base
+            if rem % (m + d + 1):
+                continue
+            j = rem // (m + d + 1)
+            classes = []
+            if j:
+                classes.append((1, 0, j))
+            if m:
+                classes.append((1, 1, m))
+            if d:
+                classes.append((0, 1, d))
+            out.append(classes)
+        m += 1
+    return out
+
+
+def naive_min_action_search(domain, i_target, xy_bound, flexible_h):
+    """Least support action over convex generators of the given grading.
+
+    flexible_h: allow any even h count up to the number of sloped classes
+    and enforce x + y - h/2 >= xy_bound; otherwise require h = 0 exactly.
+    Returns (value, witness) with witness None when infeasible.
+
+    A node is a partial path of width x, height y, doubled enclosed count D
+    and partial action u; its children append one class (a, b) x t, steeper
+    than its last class.  Three quantities are monotone along every branch,
+    and each loop that makes children breaks at its first child that fails
+    one, since every later child of that loop fails it too:
+
+    - D grows by t(2bx + 1 + a + b) + ab t^2, so once it passes the largest
+      count any h assignment could justify the branch is dead.  The t loop
+      breaks on it, and the height and a ranges come from its closed form.
+    - u grows by t * support(b, a), so a branch dies once it cannot beat the
+      incumbent.  The t loop breaks on it (u grows with t); the a loop on
+      u + min(costs[pos:]) and the height loop on u + (least cost at height
+      b or above), both lower bounds on every later child.
+    - In flexible-h mode the boundary slack 2(x + y) - D changes by
+      t(a + b - 1 - 2bx) - ab t^2, which never rises with t, a or b and must
+      end at 2 xy_bound - i_target - 2 or more.  The t loop breaks on it; the
+      a loop when the t = 1 child fails, its change -(a-1)(b-1) - 2bx falling
+      in a; the height loop when (1, b) x 1 fails, since its change -2bx is
+      the largest of any child at height b or above.
+
+    Breaks skip only children whose subtrees would offer nothing, so every
+    incumbent is found in the same order as by the unpruned traversal, and
+    ties resolve the same way.
+    """
+    if i_target < 0 or i_target % 2:
+        raise ValueError("grading target must be even and nonnegative")
+    buckets = _naive_pool_by_height(domain, i_target)
+    cost_h = domain.support(0.0, 1.0)
+    cost_v = domain.support(1.0, 0.0)
+    roof = i_target + 2  # doubled count bound before the h allowance
+    best_val = math.inf
+    best_wit = None
+
+    def offer(chosen, doubled, x, y, n_sloped, used):
+        nonlocal best_val, best_wit
+        h = doubled - 2 - i_target
+        if h < 0:
+            return
+        if flexible_h:
+            if h % 2 or h > n_sloped:
+                return
+            if 2 * (x + y) - h < 2 * xy_bound:
+                return
+        elif h != 0:
+            return
+        if used < best_val - 1e-12:
+            groups = []
+            flags_left = h
+            for a, b, t in chosen:
+                if flags_left and a >= 1 and b >= 1:
+                    groups.append(CgClass(a, b, t - 1, True))
+                    flags_left -= 1
+                else:
+                    groups.append(CgClass(a, b, t, False))
+            best_val = used
+            best_wit = ConvexGenerator(tuple(groups))
+
+    def seed(classes):
+        cg = ConvexGenerator(tuple(CgClass(a, b, t, False) for a, b, t in classes))
+        lattice, x, y = cg_lattice_points(cg), cg_x(cg), cg_y(cg)
+        n_sloped = sum(1 for a, b, _ in classes if a >= 1 and b >= 1)
+        used = sum(t * domain.support(b, a) for a, b, t in classes)
+        offer(classes, 2 * lattice, x, y, n_sloped, used)
+
+    for classes in _naive_triangle_family(i_target // 2 + 1):
+        seed(classes)
+    half = i_target // 2
+    for a in (half - 1, 1):
+        b = half - a
+        if a >= 1 and b >= 1 and math.gcd(a, b) == 1:
+            seed([(a, b, 1)])
+
+    # least boundary slack a live node may have; h = 0 mode has no such bound
+    g_floor = 2 * xy_bound - i_target - 2 if flexible_h else -math.inf
+
+    def descend(a, b, cost, extra, chosen, x, y, doubled, n_sloped, used):
+        cap = (n_sloped + extra) if flexible_h else 0
+        lin = 2 * b * x + 1 + a + b
+        t = 1
+        while True:
+            new_used = used + t * cost
+            if new_used >= best_val - 1e-12:
+                break
+            ndoubled = doubled + t * lin + a * b * t * t
+            if ndoubled > roof + cap:
+                break
+            nx = x + a * t
+            ny = y + b * t
+            if 2 * (nx + ny) - ndoubled < g_floor:
+                break
+            chosen.append((a, b, t))
+            rec(b, a, chosen, nx, ny, ndoubled, n_sloped + extra, new_used)
+            chosen.pop()
+            t += 1
+
+    # steepness b/a as the pair (b, a); (-1, 1) sits below horizontal
+    def rec(last_b, last_a, chosen, x, y, doubled, n_sloped, used):
+        offer(chosen, doubled, x, y, n_sloped, used)
+        if last_b < 0:
+            descend(1, 0, cost_h, 0, chosen, x, y, doubled, n_sloped, used)
+        cap_s = (n_sloped + 1) if flexible_h else 0
+        bmax = (roof + cap_s - doubled - 2) // (2 * x + 2) if roof + cap_s >= doubled + 2 else 0
+        slack = 2 * (x + y) - doubled
+        for b, alist, costs, floors, least in buckets:
+            if (b > bmax or used + least >= best_val - 1e-12
+                    or slack - 2 * b * x < g_floor):
+                break
+            room = roof + cap_s - doubled - 1 - b * (2 * x + 1)
+            amax = room // (b + 1)
+            if last_b > 0:
+                # strictly steeper than b_last/a_last
+                limit = (b * last_a - 1) // last_b
+                if limit < amax:
+                    amax = limit
+            for pos, a in enumerate(alist):
+                if (a > amax or used + floors[pos] >= best_val - 1e-12
+                        or slack - (a - 1) * (b - 1) - 2 * b * x < g_floor):
+                    break
+                descend(a, b, costs[pos], 1, chosen, x, y, doubled, n_sloped, used)
+        if last_a > 0:
+            descend(0, 1, cost_v, 0, chosen, x, y, doubled, n_sloped, used)
+
+    if -2 >= g_floor:  # the root's slack: x = y = 0 and doubled = 2
+        rec(-1, 1, [], 0, 0, 2, 0, 0.0)
+    # rec and descend refer to each other; unlinking them frees the class
+    # pool now rather than at the next cyclic garbage collection
+    del rec, descend
+    return best_val, best_wit

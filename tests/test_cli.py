@@ -4,6 +4,7 @@ import time
 import pytest
 
 import kech.spectrum
+import kech.toric
 from kech.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from kech.spectrum import KMAX_LIMIT
 
@@ -161,6 +162,21 @@ def test_cap_toric_golden(capsys):
     code, out, _ = run(capsys, "cap-toric", "--domain", "ball:1", "--k", "5")
     assert code == EXIT_OK
     assert out.splitlines()[-1].split() == ["ball:1", "5", "2.0", "e(1,1)^2"]
+
+
+def test_out_of_reach_toric_k_fails_fast(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the toric search ran")
+
+    monkeypatch.setattr(kech.toric, "_min_action_search", refuse)
+    monkeypatch.setattr(kech.toric, "replay", refuse)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "cap-toric", "--domain", "ball:1",
+                         "--k", str(kech.toric.K_LIMIT + 1))
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "out of reach" in err and str(kech.toric.K_LIMIT) in err
 
 
 def test_cap_toric_bad_domain_exits_input(capsys):

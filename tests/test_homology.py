@@ -1,6 +1,8 @@
 from kech.census import BitMatrix, boundary_matrix, generators_up_to_action
 import pytest
 
+import kech.diff
+from kech.diff import differential
 from kech.homology import (
     betti,
     betti_numbers,
@@ -44,6 +46,24 @@ def test_gf2_rank_is_transpose_invariant_on_boundary_matrices():
 def test_d_squared_report_clean_small():
     assert d_squared_report(4.0) == []
     assert d_squared_report(6.0) == []
+
+
+def test_d_squared_report_validates_each_path_once(monkeypatch):
+    validated = []
+    real = kech.diff.validate
+
+    def counting(path):
+        validated.append(path)
+        return real(path)
+
+    monkeypatch.setattr(kech.diff, "validate", counting)
+    assert d_squared_report(8.0) == []
+    monkeypatch.undo()
+    seen = set(validated)
+    assert len(validated) == len(seen)
+    for path in generators_up_to_action(8.0).all_generators():
+        assert path in seen
+        assert all(term in seen for term in differential(path))
 
 
 def test_betti_small_slices():

@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+import kech.toric
+import kech.toric_dp
 from _naive import (
     naive_convex_min_action,
     naive_factor_splits,
+    naive_min_action_search,
     rasterize_convex_count,
 )
 from kech.paths import EdgeGroup, build_path, format_path, parse_path
@@ -270,6 +273,17 @@ def ball_capacity(k):
     return d
 
 
+def quadrilateral(a, b, s, u, sink):
+    """Convex quadrilateral (a, 0), (sa, tb), (0, b), axis vertices sunk by sink.
+
+    s + t >= 1.05 keeps (sa, tb) past the chord, a vertex of the hull; sink
+    puts the axis vertices within TOL below the axes, where support(b, a)
+    falls as a or b grows.
+    """
+    t = 1.05 - s + u * (s - 0.1)
+    return ToricDomain.polygon([(a, -sink), (s * a, t * b), (-sink, b)])
+
+
 def test_ball_capacities_equal_weight_sequence():
     b1 = ToricDomain.ball(1.0)
     expect = weight_sequence(1, 1, 60)
@@ -317,6 +331,69 @@ def test_toric_capacity_details():
         value, witness = toric_capacity_detail(dom, k)
         assert abs(value - expect) < 1e-9, (dom.describe(), k)
         assert format_convex_generator(witness) == spec, (dom.describe(), k)
+
+
+def test_large_k_toric_capacity_details():
+    # values and witnesses of the plain depth-first search
+    cases = [
+        (ToricDomain.ball(1.0), 200, 19.0, "e(1,0)^3;e(1,1)^14;e(0,1)^2"),
+        (parse_domain("polygon:1.15,0;0.54,0.728;0,1.09"), 200, 22.696,
+         "e(3,2)^3;e(1,1)^2;e(5,6);e(2,3)"),
+    ]
+    for dom, k, expect, spec in cases:
+        value, witness = toric_capacity_detail(dom, k)
+        assert abs(value - expect) < 1e-9, (dom.describe(), k)
+        assert format_convex_generator(witness) == spec, (dom.describe(), k)
+
+
+def test_large_k_capacities_match_closed_forms():
+    b1 = ToricDomain.ball(1.0)
+    for k, d in ((300, 24), (400, 27)):
+        assert ball_capacity(k) == d
+        assert ech_capacity_toric(b1, k) == d, k
+    expect = weight_sequence(1, 2, 200)[200]
+    assert ech_capacity_toric(ToricDomain.ellipsoid(1.0, 2.0), 200) == expect
+
+
+def test_capacity_matches_dfs_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    domains = st.one_of(
+        st.builds(ToricDomain.ball, st.floats(0.5, 2.0)),
+        st.builds(ToricDomain.ellipsoid, st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        st.builds(quadrilateral, st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+                  st.floats(0.15, 0.9), st.floats(0.0, 1.0),
+                  st.sampled_from([0.0, 5e-10])))
+
+    @hypothesis.settings(max_examples=60, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(dom=domains, k=st.integers(1, 40))
+    def check(dom, k):
+        value, witness = toric_capacity_detail(dom, k)
+        oracle_value, oracle_witness = naive_min_action_search(dom, 2 * k, 0, False)
+        assert value == oracle_value, (dom.describe(), k)
+        assert format_convex_generator(witness) == \
+            format_convex_generator(oracle_witness), (dom.describe(), k)
+
+    check()
+
+
+def test_replay_reruns_when_a_generator_sits_at_its_cutoff(monkeypatch):
+    # e(1,0) costs 1.000001, exactly the replay's cutoff 1e-6 above the
+    # optimum e(0,1), so the replay cannot vouch for its witness
+    dom = ToricDomain.ellipsoid(1.0, 1.000001)
+    answers = []
+
+    def recording(*args):
+        answers.append(kech.toric_dp.replay(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(kech.toric, "replay", recording)
+    for k in (1, 3):
+        value, witness = toric_capacity_detail(dom, k)
+        assert answers[-1] is None
+        assert (value, witness) == naive_min_action_search(dom, 2 * k, 0, False)
 
 
 def test_toric_capacity_witnesses_are_consistent():
