@@ -199,7 +199,7 @@ _ITEM_RE = re.compile(r"(e|h)\((-?\d+),(-?\d+)\)(?:\^(\d+))?\Z")
 
 
 def parse_path(text: str) -> KLatticePath:
-    """Parse and fully validate a path spec string."""
+    """Parse a path spec string; the path it names must pass validate."""
     stripped = text.strip()
     if stripped == "0":
         return EMPTY_PATH
@@ -235,21 +235,8 @@ def parse_path(text: str) -> KLatticePath:
         mult = int(m.group(4)) if m.group(4) is not None else 1
         if mult < 1:
             raise PathSyntaxError("exponent must be >= 1", item_pos)
-        if q < 0:
-            raise PathSemanticsError(f"negative horizontal component in ({q},{p})")
-        if q == 0 and p == 0:
-            raise PathSemanticsError("zero direction (0,0)")
-        if gcd(q, abs(p)) != 1:
-            raise PathSemanticsError(f"non-primitive direction ({q},{p})")
-        if label == "h":
-            if q == 0:
-                raise PathSemanticsError("vertical edges cannot be labeled h")
-            if mult != 1:
-                raise PathSemanticsError("repeated h on one direction")
-        if groups and slope_before(q, p, groups[-1][0], groups[-1][1]):
-            raise PathSemanticsError(
-                f"non-convex slope order at ({q},{p})"
-            )
+        if label == "h" and mult != 1:
+            raise PathSemanticsError("repeated h on one direction")
         if groups and groups[-1][0] == q and groups[-1][1] == p:
             g = groups[-1]
             if label == "h":

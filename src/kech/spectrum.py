@@ -278,11 +278,7 @@ def _bucket_minima(kmax: int, cap=None):
 
 def capacity(k: int) -> CapacityResult:
     """Least action among generators of grading 2k, with its witness."""
-    if k < 0:
-        raise ValueError("capacity index must be nonnegative")
-    if k == 0:
-        return CapacityResult(0, 0.0, EMPTY_PATH)
-    return _bucket_minima(k)[k]
+    return capacity_series(k)[k]
 
 
 def capacity_series(kmax: int):

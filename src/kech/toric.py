@@ -10,22 +10,22 @@ against a domain sums mult * support(b, a) over classes.
 
 The obstruction pipeline matches convex generators against chain-complex
 generators of equal grading through an action inequality and the point-count
-inequality x + y - h/2 >= pairs + toricMult - 1.  Minimization over convex
-generators is an exhaustive concave-path search pruned by three monotone
-quantities: the doubled lattice count and the partial action only grow along
-a branch, and the boundary slack 2(x + y) - doubled count only falls.  Each
-loop that makes children breaks at the first child that fails a bound.
+inequality x + y - h/2 >= pairs + toricMult - 1.  Minimization over these
+generators, with h free, is an exhaustive concave-path search pruned by three
+monotone quantities: the doubled lattice count and the partial action only
+grow along a branch, and the boundary slack 2(x + y) - doubled count only
+falls.  Each loop that makes children breaks at the first child that fails a
+bound.
 
 The all-elliptic capacity c_k (h = 0, grading 2k) takes three steps, in
 ``kech.toric_dp``.  A forward sweep over the classes in steepness order
 gives the least action of every (x, D), at D = 2k + 2 the optimum v*.  A
 sweep from the steep end bounds from below the action of every completion
-of a prefix state.  The search is then replayed over the states whose
-least action plus that bound is within v* + 1e-6 only.  The replay keeps
-the search's witness rule (seeds first, the same child order, a new
-incumbent only when 1e-12 better), so it returns the search's witness;
-``toric_dp.replay`` gives the argument, and a replay that cannot vouch for
-its witness hands over to the full search.
+of a prefix state.  A depth-first search is then replayed over the states
+whose least action plus that bound is within v* + 1e-6 only, with the
+search's witness rule (seeds first, the same child order, a new incumbent
+only when 1e-12 better).  A replay that meets a generator at its cutoff
+runs again with no cutoff; ``toric_dp.replay`` gives the argument.
 """
 
 from __future__ import annotations
@@ -369,6 +369,8 @@ def factorizations(path: KLatticePath):
 #: Largest k the command line accepts for cap-toric.  toric_capacity_detail
 #: ends within a minute up to here on a 2-core Xeon with Python 3.11: 34 to
 #: 49 s at k = 2000 on balls, ellipsoids and quadrilaterals, 25 s at 1700.
+#: Near-tie domains, where a generator sits 1e-6 above the optimum, take the
+#: replay's uncut rerun and may take longer.
 K_LIMIT = 2000
 
 
@@ -446,13 +448,10 @@ def _seed_action(domain: ToricDomain, classes) -> float:
     return sum(t * domain.support(b, a) for a, b, t in classes)
 
 
-def _min_action_search(domain: ToricDomain, i_target: int, xy_bound: int,
-                       flexible_h: bool):
-    """Least support action over convex generators of the given grading.
-
-    flexible_h: allow any even h count up to the number of sloped classes
-    and enforce x + y - h/2 >= xy_bound; otherwise require h = 0 exactly.
-    Returns (value, witness) with witness None when infeasible.
+def admissible_min_action(domain: ToricDomain, i_target: int, xy_bound: int):
+    """Least support action over convex generators of the given grading, an
+    even h count up to the number of sloped classes, and x + y - h/2 >=
+    xy_bound.  Returns (value, witness), (inf, None) when infeasible.
 
     A node is a partial path of width x, height y, doubled enclosed count D
     and partial action u; its children append one class (a, b) x t, steeper
@@ -467,7 +466,7 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound: int,
       incumbent.  The t loop breaks on it (u grows with t); the a loop on
       u + min(costs[pos:]) and the height loop on u + (least cost at height
       b or above), both lower bounds on every later child.
-    - In flexible-h mode the boundary slack 2(x + y) - D changes by
+    - The boundary slack 2(x + y) - D changes by
       t(a + b - 1 - 2bx) - ab t^2, which never rises with t, a or b and must
       end at 2 xy_bound - i_target - 2 or more.  The t loop breaks on it; the
       a loop when the t = 1 child fails, its change -(a-1)(b-1) - 2bx falling
@@ -490,14 +489,7 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound: int,
     def offer(chosen, doubled, x, y, n_sloped, used):
         nonlocal best_val, best_wit
         h = doubled - 2 - i_target
-        if h < 0:
-            return
-        if flexible_h:
-            if h % 2 or h > n_sloped:
-                return
-            if 2 * (x + y) - h < 2 * xy_bound:
-                return
-        elif h != 0:
+        if h < 0 or h % 2 or h > n_sloped or 2 * (x + y) - h < 2 * xy_bound:
             return
         if used < best_val - 1e-12:
             groups = []
@@ -516,11 +508,11 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound: int,
         n_sloped = sum(1 for a, b, _ in classes if a >= 1 and b >= 1)
         offer(classes, 2 * lattice, x, y, n_sloped, _seed_action(domain, classes))
 
-    # least boundary slack a live node may have; h = 0 mode has no such bound
-    g_floor = 2 * xy_bound - i_target - 2 if flexible_h else -inf
+    # least boundary slack a live node may have
+    g_floor = 2 * xy_bound - i_target - 2
 
     def descend(a, b, cost, extra, chosen, x, y, doubled, n_sloped, used):
-        cap = (n_sloped + extra) if flexible_h else 0
+        cap = n_sloped + extra
         lin = 2 * b * x + 1 + a + b
         t = 1
         while True:
@@ -544,7 +536,7 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound: int,
         offer(chosen, doubled, x, y, n_sloped, used)
         if last_b < 0:
             descend(1, 0, cost_h, 0, chosen, x, y, doubled, n_sloped, used)
-        cap_s = (n_sloped + 1) if flexible_h else 0
+        cap_s = n_sloped + 1
         bmax = (roof + cap_s - doubled - 2) // (2 * x + 2) if roof + cap_s >= doubled + 2 else 0
         slack = 2 * (x + y) - doubled
         for b, alist, costs, floors, least in buckets:
@@ -574,12 +566,6 @@ def _min_action_search(domain: ToricDomain, i_target: int, xy_bound: int,
     return best_val, best_wit
 
 
-def admissible_min_action(domain: ToricDomain, i_target: int, xy_bound: int):
-    """Least action among convex generators with the given grading, an even
-    h count, and x + y - h/2 >= xy_bound; (inf, None) when infeasible."""
-    return _min_action_search(domain, i_target, xy_bound, True)
-
-
 def toric_capacity_detail(domain: ToricDomain, k: int):
     """Action-minimizing all-elliptic convex generator of grading 2k."""
     if k < 0:
@@ -596,15 +582,10 @@ def toric_capacity_detail(domain: ToricDomain, k: int):
     moves.sort(key=lambda move: move[1] / move[0])
     moves = ([(1, 0, domain.support(0.0, 1.0))] + moves
              + [(0, 1, domain.support(1.0, 0.0))])
-    found = replay(moves, i_target + 2, seeds)
-    if found is None:
-        value, wit = _min_action_search(domain, i_target, 0, False)
-    else:
-        value, classes = found
-        wit = ConvexGenerator(tuple(CgClass(a, b, t, False) for a, b, t in classes))
-    if wit is None:
+    value, classes = replay(moves, i_target + 2, seeds)
+    if classes is None:
         raise AssertionError("toric capacity search lost its own seed family")
-    return value, wit
+    return value, ConvexGenerator(tuple(CgClass(a, b, t, False) for a, b, t in classes))
 
 
 def ech_capacity_toric(domain: ToricDomain, k: int) -> float:
@@ -624,7 +605,7 @@ def embedding_obstructed(domain: ToricDomain, path: KLatticePath) -> bool:
         feasible = True
         for block in part:
             bound = pair_count(block) + toric_multiplicity(block) - 1
-            value, _ = _min_action_search(domain, grading(block), bound, True)
+            value, _ = admissible_min_action(domain, grading(block), bound)
             if value > action(block) + TOL:
                 feasible = False
                 break

@@ -10,15 +10,15 @@ D = 2k + 2.  Read from the steep end, with a and b swapped, the same sweep
 gives the least action of every suffix (y, D_s), and a prefix (x, D) joined
 to a suffix (y, D_s) encloses D + D_s - 2 + 2xy doubled points.  The suffix
 table therefore bounds from below the action of every completion of a
-prefix state, and the search of ``kech.toric`` is replayed over only the
-states within MARGIN of the optimum, to pick the witness it would pick.
+prefix state, and a depth-first search over class lists is replayed over
+only the states near the optimum, to pick the witness it would pick.
 """
 
 from __future__ import annotations
 
 from math import inf
 
-#: Margin above the optimum within which completion_bound keeps every state.
+#: Margin above the optimum within which replay's first pass keeps every state.
 MARGIN = 1e-6
 
 
@@ -95,11 +95,11 @@ def least_completion(layers, y: int, need: int) -> float:
     return least
 
 
-def completion_bound(moves, roof: int, incumbent: float):
+def completion_bound(moves, roof: int, incumbent: float, margin: float):
     """(cutoff, table, width) for class lists in steepness order ending at D = roof.
 
     incumbent is the action of some such list.  The forward sweep's least
-    action at D = roof is the optimum v*, and cutoff = v* + MARGIN.
+    action at D = roof is the optimum v*, and cutoff = v* + margin.
     C(x, D) = min over y of S(y, roof + 2 - D - 2xy), with S the suffix
     sweep, is at most the action of any completion of the prefix state
     (x, D).  table[x * width + D] = (least action, C(x, D)) holds only the
@@ -107,12 +107,14 @@ def completion_bound(moves, roof: int, incumbent: float):
     that some list of action within the cutoff passes through.  The prefix
     sweep drops states above incumbent + 2 * MARGIN, and the suffix sweep
     those whose action plus their least completion in the prefix sweep
-    exceeds cutoff + MARGIN; no list within the cutoff passes through them.
+    exceeds cutoff + margin; at margin = MARGIN no list within the cutoff
+    passes through them.  At margin = inf the table holds every state of
+    the prefix sweep.
     """
     prefix = sweep(moves, roof, incumbent + 2 * MARGIN)
-    cutoff = min(layer[roof] for layer in prefix if roof in layer) + MARGIN
+    cutoff = min(layer[roof] for layer in prefix if roof in layer) + margin
     suffix = sweep([(b, a, cost) for a, b, cost in reversed(moves)], roof,
-                   cutoff + MARGIN, prefix)
+                   cutoff + margin, prefix)
     width = roof + 1
     table = {}
     for x, layer in enumerate(prefix):
@@ -128,18 +130,19 @@ def replay(moves, roof: int, seeds):
 
     moves lists (a, b, cost) in steepness order; seeds lists the (classes,
     action) the search offers before it starts, in its order.  The search
-    (``kech.toric._min_action_search``) offers the seeds, then walks class
-    lists depth first: children in the order horizontal, sloped by height
-    then width, vertical, each strictly steeper than the last class and
-    with t = 1, 2, ...  A child is visited when its doubled count is at most
-    roof and its action u is below the incumbent minus 1e-12; a list ending
-    at D = roof becomes the incumbent when its action is below the
-    incumbent minus 1e-12.  The replay walks the same tree in the same order
-    with one more condition: the child's state is in the table of
-    completion_bound and u plus its bound C is within the cutoff.  Every
-    list below a child that fails it has action above cutoff - s, with s
-    the rounding between summing a list's costs in two orders (under 1e-11
-    for actions up to 1e3; the argument needs s + 1e-12 < 2e-9).
+    (``tests/_naive.py::naive_min_action_search``, a copy kept as oracle)
+    offers the seeds, then walks class lists depth first: children in the
+    order horizontal, sloped by height then width, vertical, each strictly
+    steeper than the last class and with t = 1, 2, ...  A child is visited
+    when its doubled count is at most roof and its action u is below the
+    incumbent minus 1e-12; a list ending at D = roof becomes the incumbent
+    when its action is below the incumbent minus 1e-12.  The replay walks
+    the same tree in the same order with one more condition: the child's
+    state is in the table of completion_bound and u plus its bound C is
+    within the cutoff.  Every list below a child that fails it has action
+    above cutoff - s, with s the rounding between summing a list's costs in
+    two orders (under 1e-11 for actions up to 1e3; the argument needs
+    s + 1e-12 < 2e-9).
 
     The replay returns the search's answer.  Call a list deep when its
     action is at most cutoff - 2e-9; the optimum, MARGIN below the cutoff,
@@ -151,56 +154,66 @@ def replay(moves, roof: int, seeds):
     both hold the same incumbent and make the same moves, since every list
     the replay skips lies more than 1e-12 above it.
 
-    Returns (action, classes) with classes the winning [(a, b, t)], or None
-    when the replay offers a list within 2e-9 of the cutoff.
+    When the first pass does offer a list within 2e-9 of its cutoff, the
+    replay runs once more with the cutoff at infinity, and u + C never
+    exceeds it.  The table then holds every state the search visits: the
+    search visits no list at or above the least seed's action, and a
+    state's entry in the prefix sweep is at most the action u of any list
+    that reaches it, summed in the same order.  So the second walk is the
+    search's own tree in its order, and its answer the search's answer.
+
+    Returns (action, classes) with classes the winning [(a, b, t)].
     """
-    cutoff, table, width = completion_bound(
-        moves, roof, min(u for _, u in seeds))
     # the search's child order: horizontal (b = 0) first, vertical (a = 0) last
     order = sorted(moves, key=lambda move: (move[0] == 0, move[1], move[0]))
-    edges = {}
-    for key, (act, _) in table.items():
-        x, doubled = divmod(key, width)
-        budget = cutoff - act
-        out = edges[key] = []
-        for a, b, cost in order:
-            lin = 2 * b * x + 1 + a + b
-            t = 1
-            while t * cost <= budget:
-                nd = doubled + t * lin + a * b * t * t
-                if nd > roof:
-                    break
-                child = (x + a * t) * width + nd
-                if child in table:
-                    out.append((a, b, t, t * cost, child))
-                t += 1
-    best = inf
-    found = None
-    near = False
+    for margin in (MARGIN, inf):
+        cutoff, table, width = completion_bound(
+            moves, roof, min(u for _, u in seeds), margin)
+        edges = {}
+        for key, (act, _) in table.items():
+            x, doubled = divmod(key, width)
+            budget = cutoff - act
+            out = edges[key] = []
+            for a, b, cost in order:
+                lin = 2 * b * x + 1 + a + b
+                t = 1
+                while t * cost <= budget:
+                    nd = doubled + t * lin + a * b * t * t
+                    if nd > roof:
+                        break
+                    child = (x + a * t) * width + nd
+                    if child in table:
+                        out.append((a, b, t, t * cost, child))
+                    t += 1
+        best = inf
+        found = None
+        near = False
 
-    def offer(used, chosen):
-        nonlocal best, found, near
-        if cutoff - 2e-9 < used <= cutoff + 2e-9:
-            near = True
-        if used < best - 1e-12:
-            best = used
-            found = list(chosen)
+        def offer(used, chosen):
+            nonlocal best, found, near
+            if cutoff - 2e-9 < used <= cutoff + 2e-9:
+                near = True
+            if used < best - 1e-12:
+                best = used
+                found = list(chosen)
 
-    def walk(key, last_a, last_b, used, chosen):
-        if key % width == roof:
-            offer(used, chosen)
-            return
-        for a, b, t, step, child in edges[key]:
-            if b * last_a <= last_b * a:
-                continue
-            new_used = used + step
-            if new_used >= best - 1e-12 or new_used + table[child][1] > cutoff:
-                continue
-            chosen.append((a, b, t))
-            walk(child, a, b, new_used, chosen)
-            chosen.pop()
+        def walk(key, last_a, last_b, used, chosen):
+            if key % width == roof:
+                offer(used, chosen)
+                return
+            for a, b, t, step, child in edges[key]:
+                if b * last_a <= last_b * a:
+                    continue
+                new_used = used + step
+                if new_used >= best - 1e-12 or new_used + table[child][1] > cutoff:
+                    continue
+                chosen.append((a, b, t))
+                walk(child, a, b, new_used, chosen)
+                chosen.pop()
 
-    for classes, action in seeds:
-        offer(action, classes)
-    walk(2, 1, -1, 0.0, [])  # the root (0, 2), below horizontal
-    return None if near else (best, found)
+        for classes, action in seeds:
+            offer(action, classes)
+        walk(2, 1, -1, 0.0, [])  # the root (0, 2), below horizontal
+        if not near:
+            break
+    return best, found

@@ -168,7 +168,7 @@ def test_out_of_reach_toric_k_fails_fast(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the toric search ran")
 
-    monkeypatch.setattr(kech.toric, "_min_action_search", refuse)
+    monkeypatch.setattr(kech.toric, "admissible_min_action", refuse)
     monkeypatch.setattr(kech.toric, "replay", refuse)
     t0 = time.monotonic()
     code, out, err = run(capsys, "cap-toric", "--domain", "ball:1",

@@ -86,6 +86,9 @@ def test_parse_semantic_errors():
         "h(0,1)": "vertical edges cannot be labeled h",
         "e(2,4)": "non-primitive direction",
         "e(1,1);e(1,-1)": "non-convex slope order",
+        "e(1,-1);e(1,1);e(1,0)": "non-convex slope order",
+        "e(-1,0)": "negative horizontal component",
+        "e(0,0)": "zero direction",
         "H+;H-": "H+ allowed only as the last item",
         "H-;H-": "H- allowed only as the first item",
         "e(0,-1)^2;e(0,1)": "vertical displacements do not close",

@@ -16,7 +16,6 @@ from kech.toric import (
     CgClass,
     ConvexGenerator,
     ToricDomain,
-    _min_action_search,
     admissible_min_action,
     cg_elliptic_factor_count,
     cg_grading,
@@ -381,19 +380,35 @@ def test_capacity_matches_dfs_oracle_property():
 
 def test_replay_reruns_when_a_generator_sits_at_its_cutoff(monkeypatch):
     # e(1,0) costs 1.000001, exactly the replay's cutoff 1e-6 above the
-    # optimum e(0,1), so the replay cannot vouch for its witness
+    # optimum e(0,1), so the first pass cannot vouch for its witness and the
+    # replay runs again with no cutoff
     dom = ToricDomain.ellipsoid(1.0, 1.000001)
-    answers = []
+    completion_bound = kech.toric_dp.completion_bound
+    margins = []
 
     def recording(*args):
-        answers.append(kech.toric_dp.replay(*args))
-        return answers[-1]
+        margins.append(args[-1])
+        return completion_bound(*args)
 
-    monkeypatch.setattr(kech.toric, "replay", recording)
+    monkeypatch.setattr(kech.toric_dp, "completion_bound", recording)
     for k in (1, 3):
+        margins.clear()
         value, witness = toric_capacity_detail(dom, k)
-        assert answers[-1] is None
+        assert margins == [kech.toric_dp.MARGIN, math.inf]
         assert (value, witness) == naive_min_action_search(dom, 2 * k, 0, False)
+
+
+def test_near_tie_capacities_match_search():
+    # one class 1e-6 dearer than another puts generators at the replay's cutoff
+    for spec in ("ellipsoid:1,1.000001", "ellipsoid:1.000001,1",
+                 "polygon:1.000001,0;0,1"):
+        dom = parse_domain(spec)
+        for k in range(1, 20):
+            value, witness = toric_capacity_detail(dom, k)
+            oracle_value, oracle_witness = naive_min_action_search(dom, 2 * k, 0, False)
+            assert value == oracle_value, (spec, k)
+            assert format_convex_generator(witness) == \
+                format_convex_generator(oracle_witness), (spec, k)
 
 
 def test_toric_capacity_witnesses_are_consistent():
@@ -482,7 +497,10 @@ def test_search_matches_naive_search_property():
         for flexible in (True, False):
             naive = naive_convex_min_action(dom, i_target, xy_bound, flexible,
                                             dir_cap=6, mult_cap=8)
-            value, witness = _min_action_search(dom, i_target, xy_bound, flexible)
+            if flexible:
+                value, witness = admissible_min_action(dom, i_target, xy_bound)
+            else:
+                value, witness = toric_capacity_detail(dom, i_target // 2)
             if naive == math.inf:
                 assert (value, witness) == (math.inf, None)
                 continue
