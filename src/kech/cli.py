@@ -28,6 +28,7 @@ from .paths import (
 )
 from .spectrum import KMAX_LIMIT, capacity, capacity_series, weyl_series
 from .toric import (
+    GROMOV_KMAX_LIMIT,
     K_LIMIT,
     embedding_obstructed,
     format_convex_generator,
@@ -237,6 +238,7 @@ def _cmd_cap_toric(args):
 def _cmd_gromov(args):
     if args.kmax < 0:
         raise ValueError("kmax must be nonnegative")
+    _within_reach("kmax", args.kmax, GROMOV_KMAX_LIMIT)
     report = gromov_upper(args.kmax)
     rows = []
     for record, running in zip(report.records, report.running_inf):

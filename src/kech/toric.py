@@ -15,7 +15,9 @@ generators, with h free, is an exhaustive concave-path search pruned by three
 monotone quantities: the doubled lattice count and the partial action only
 grow along a branch, and the boundary slack 2(x + y) - doubled count only
 falls.  Each loop that makes children breaks at the first child that fails a
-bound.
+bound, and the height loop starts at the first height that can hold a class
+steeper than the last one.  ``gromov_upper`` builds one class pool for all
+its searches.
 
 The all-elliptic capacity c_k (h = 0, grading 2k) takes three steps, in
 ``kech.toric_dp``.  A forward sweep over the classes in steepness order
@@ -31,7 +33,7 @@ runs again with no cutoff; ``toric_dp.replay`` gives the argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd, inf, isfinite
 
 from .paths import (
@@ -373,6 +375,12 @@ def factorizations(path: KLatticePath):
 #: replay's uncut rerun and may take longer.
 K_LIMIT = 2000
 
+#: Largest kmax the command line accepts for gromov.  gromov_upper takes
+#: 16 to 17 s at kmax = 1000 on a 2-core Xeon with Python 3.11 (1.4 s at
+#: 300, 0.3 s at 130), its time growing about as kmax^2, and every record
+#: up to here matches (2k+3)/(2k+1).
+GROMOV_KMAX_LIMIT = 1000
+
 
 def _pool_by_height(domain: ToricDomain, i_target: int):
     """Sloped primitive classes usable at this grading, in ascending height b.
@@ -473,13 +481,33 @@ def admissible_min_action(domain: ToricDomain, i_target: int, xy_bound: int):
       in a; the height loop when (1, b) x 1 fails, since its change -2bx is
       the largest of any child at height b or above.
 
+    The height loop starts at the first height that can hold a child.  A
+    child is strictly steeper than the last class (a_l, b_l) and the flattest
+    class at height b is (1, b), so no height b <= b_l // a_l holds one, and
+    none follows the vertical class.  The loop's three break tests are
+    monotone in b, so a skipped height could only have been passed over.
+
+    The search may read a class pool built at a larger grading, as
+    gromov_upper's searches share one.  Every node has D >= 2 + 4 * #sloped,
+    as each sloped class adds at least 4, so the height and a ranges from
+    D's closed form never reach past the rows of this grading's own pool.
+    The larger pool's floors and least are still lower bounds on the costs
+    the search can reach, only weaker, so its cost breaks still skip only
+    children that offer nothing.
+
     Breaks skip only children whose subtrees would offer nothing, so every
     incumbent is found in the same order as by the unpruned traversal, and
     ties resolve the same way.
     """
     if i_target < 0 or i_target % 2:
         raise ValueError("grading target must be even and nonnegative")
-    buckets = _pool_by_height(domain, i_target)
+    return _admissible_search(_pool_by_height(domain, i_target), domain,
+                              i_target, xy_bound)
+
+
+def _admissible_search(buckets, domain: ToricDomain, i_target: int, xy_bound: int):
+    """admissible_min_action over buckets, the class pool of this domain at
+    grading i_target or above."""
     cost_h = domain.support(0.0, 1.0)
     cost_v = domain.support(1.0, 0.0)
     roof = i_target + 2  # doubled count bound before the h allowance
@@ -534,12 +562,17 @@ def admissible_min_action(domain: ToricDomain, i_target: int, xy_bound: int):
     # steepness b/a as the pair (b, a); (-1, 1) sits below horizontal
     def rec(last_b, last_a, chosen, x, y, doubled, n_sloped, used):
         offer(chosen, doubled, x, y, n_sloped, used)
+        if not last_a:  # nothing is steeper than the vertical class
+            return
         if last_b < 0:
             descend(1, 0, cost_h, 0, chosen, x, y, doubled, n_sloped, used)
         cap_s = n_sloped + 1
         bmax = (roof + cap_s - doubled - 2) // (2 * x + 2) if roof + cap_s >= doubled + 2 else 0
         slack = 2 * (x + y) - doubled
-        for b, alist, costs, floors, least in buckets:
+        # buckets[i] is height i + 1; heights up to b_last // a_last hold
+        # nothing steeper than the last class
+        start = last_b // last_a if last_b > 0 else 0
+        for b, alist, costs, floors, least in islice(buckets, start, None):
             if (b > bmax or used + least >= best_val - 1e-12
                     or slack - 2 * b * x < g_floor):
                 break
@@ -555,13 +588,13 @@ def admissible_min_action(domain: ToricDomain, i_target: int, xy_bound: int):
                         or slack - (a - 1) * (b - 1) - 2 * b * x < g_floor):
                     break
                 descend(a, b, costs[pos], 1, chosen, x, y, doubled, n_sloped, used)
-        if last_a > 0:
-            descend(0, 1, cost_v, 0, chosen, x, y, doubled, n_sloped, used)
+        descend(0, 1, cost_v, 0, chosen, x, y, doubled, n_sloped, used)
 
     if -2 >= g_floor:  # the root's slack: x = y = 0 and doubled = 2
         rec(-1, 1, [], 0, 0, 2, 0, 0.0)
-    # rec and descend refer to each other; unlinking them frees the class
-    # pool now rather than at the next cyclic garbage collection
+    # rec and descend refer to each other; unlinking them frees them, and a
+    # pool only this search holds, now rather than at the next cyclic
+    # garbage collection
     del rec, descend
     return best_val, best_wit
 
@@ -647,16 +680,20 @@ def gromov_upper(kmax: int) -> GromovReport:
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     ball = ToricDomain.ball(1.0)
+    ladders = [build_path(True, False, k, k + 1, [EdgeGroup(1, 0, 1, False)])
+               for k in range(kmax + 1)]
+    # one class pool for every k, built at the largest grading; each search
+    # keeps to the rows its own grading can use
+    pool = _pool_by_height(ball, grading(ladders[-1]))
     records = []
     running = []
-    for k in range(kmax + 1):
-        lam = build_path(True, False, k, k + 1, [EdgeGroup(1, 0, 1, False)])
+    for k, lam in enumerate(ladders):
         validate(lam)
         if len(factorizations(lam)) != 1:
             raise AssertionError("distinguished generator must factor trivially")
         rhs = action(lam)
         bound_pts = pair_count(lam) + toric_multiplicity(lam) - 1
-        value, wit = admissible_min_action(ball, grading(lam), bound_pts)
+        value, wit = _admissible_search(pool, ball, grading(lam), bound_pts)
         if wit is None or value <= 0:
             raise AssertionError("admissible minimum must be positive and attained")
         bound = rhs / value

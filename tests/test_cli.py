@@ -179,6 +179,21 @@ def test_out_of_reach_toric_k_fails_fast(capsys, monkeypatch):
     assert "out of reach" in err and str(kech.toric.K_LIMIT) in err
 
 
+def test_out_of_reach_gromov_kmax_fails_fast(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the gromov search ran")
+
+    monkeypatch.setattr(kech.toric, "_pool_by_height", refuse)
+    monkeypatch.setattr(kech.toric, "_admissible_search", refuse)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "gromov", "--kmax",
+                         str(kech.toric.GROMOV_KMAX_LIMIT + 1))
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "out of reach" in err and str(kech.toric.GROMOV_KMAX_LIMIT) in err
+
+
 def test_cap_toric_bad_domain_exits_input(capsys):
     code, _, err = run(capsys, "cap-toric", "--domain", "cube:1", "--k", "1")
     assert code == EXIT_INPUT

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -516,6 +517,33 @@ def test_search_matches_naive_search_property():
     check()
 
 
+def test_flexible_search_witnesses_match_naive_search():
+    # the search starts each height loop past the heights that cannot hold
+    # a steeper class, and gromov_upper hands it a pool built at a larger
+    # grading; the frozen search visits every height over its own pool
+    rng = random.Random(14)
+    domains = [parse_domain(spec) for spec in
+               ("ball:1", "ellipsoid:1,2", "ellipsoid:1,1.000001")]
+    for sink in (0.0, 5e-10):
+        for _ in range(3):
+            domains.append(quadrilateral(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0),
+                                         rng.uniform(0.15, 0.9), rng.uniform(0.0, 1.0),
+                                         sink))
+    for dom in domains:
+        wide_pool = kech.toric._pool_by_height(dom, 80)
+        for i_target in range(2, 41, 2):
+            half = i_target // 2
+            for xy_bound in sorted({0, half // 2, half - 1, half, half + 1}):
+                want_value, want_witness = naive_min_action_search(
+                    dom, i_target, xy_bound, True)
+                want = (want_value, want_witness and format_convex_generator(want_witness))
+                for value, witness in (
+                        admissible_min_action(dom, i_target, xy_bound),
+                        kech.toric._admissible_search(wide_pool, dom, i_target, xy_bound)):
+                    got = (value, witness and format_convex_generator(witness))
+                    assert got == want, (dom.describe(), i_target, xy_bound)
+
+
 def test_leq_relation_cases():
     b1 = ToricDomain.ball(1.0)
     lam1 = ladder(1)
@@ -576,6 +604,19 @@ def test_gromov_upper_records():
     assert list(report.running_inf) == [min(bounds[: i + 1])
                                         for i in range(len(bounds))]
     assert report.infimum == min(bounds)
+
+
+def test_gromov_upper_ladder_oracle_to_300():
+    # the least admissible action is 2k+1, attained by e(2k+1,1), so the
+    # bounds are (2k+3)/(2k+1); observed so far up to k = 1000
+    report = gromov_upper(300)
+    assert [r.k for r in report.records] == list(range(301))
+    for r in report.records:
+        assert r.min_lhs_action == 2 * r.k + 1, r.k
+        assert r.witness_spec == ("e(1,1)" if r.k == 0 else "e(%d,1)" % (2 * r.k + 1))
+        assert abs(r.bound - (2 * r.k + 3) / (2 * r.k + 1)) < 1e-12, r.k
+    bounds = [r.bound for r in report.records]
+    assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 def test_gromov_generators_are_the_ladder_family():
