@@ -13,9 +13,9 @@ import json
 import math
 import sys
 
-from .census import generators_up_to_action
+from .census import ENUMERATE_ACTION_LIMIT, generators_up_to_action
 from .diff import differential
-from .homology import betti_numbers, d_squared_report
+from .homology import D2CHECK_ACTION_LIMIT, betti_numbers, d_squared_report
 from .paths import (
     PathError,
     action,
@@ -161,7 +161,9 @@ def _action_bound(args) -> float:
 
 
 def _cmd_enumerate(args):
-    sl = generators_up_to_action(_action_bound(args))
+    max_action = _action_bound(args)
+    _within_reach("max-action", max_action, ENUMERATE_ACTION_LIMIT)
+    sl = generators_up_to_action(max_action)
     rows = []
     for degree in sl.degrees():
         if args.grading is not None and degree != args.grading:
@@ -173,7 +175,9 @@ def _cmd_enumerate(args):
 
 
 def _cmd_d2check(args):
-    violations = d_squared_report(_action_bound(args))
+    max_action = _action_bound(args)
+    _within_reach("max-action", max_action, D2CHECK_ACTION_LIMIT)
+    violations = d_squared_report(max_action)
     rows = [{"spec": spec, "survivor": surv}
             for spec, survivors in violations for surv in survivors]
     return (("spec", "survivor"), rows,
@@ -189,10 +193,10 @@ def _cmd_homology(args):
     return (("degree", "betti"), rows, EXIT_OK)
 
 
-def _within_reach(name: str, value: int, limit: int) -> None:
+def _within_reach(name: str, value: float, limit: float) -> None:
     if value > limit:
-        raise ValueError("%s %d is out of reach: the search takes up to a "
-                         "minute at %s %d, the largest accepted"
+        raise ValueError("%s %s is out of reach: the command takes up to a "
+                         "minute at %s %s, the largest accepted"
                          % (name, value, name, limit))
 
 

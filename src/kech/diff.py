@@ -1,14 +1,13 @@
 """GF(2) differential on convex sub-axis lattice paths.
 
-The region between a path and the axis is held as its column profile: the
-lowest region point of each column (``paths.column_bottoms``).  Three local
-moves produce the boundary of a generator, each an edit of that profile that
-drops the grading by exactly 1 and strictly decreases action:
+Three local moves produce the boundary of a generator, each an edit of the
+region between the path and the axis that drops the grading by exactly 1 and
+strictly decreases action:
 
-- interior rounding: raise the bottom of the column holding one eligible
-  concave corner strictly below the axis, redistributing the freed
-  hyperbolic labels over the newly created edge classes in the slope zone
-  between the two corner directions;
+- interior rounding: raise the corner C between consecutive groups (before,
+  after) by 1 and re-hull the region points from C - before to C + after,
+  spreading the freed hyperbolic labels over the classes between the two
+  corner directions (in ``combinations`` order);
 - the corner move C: when the path begins with a hyperbolic class and no
   wall, drop the first column, which holds only its axis point (steep
   slopes, creating a half-arrow pair), or the first two columns (shallow
@@ -17,13 +16,26 @@ drops the grading by exactly 1 and strictly decreases action:
   hyperbolic class, drop the first column, which holds the two wall points
   the pair occupies.
 
-C and D are written for the start of a path only.  Reflecting a path in a
-vertical line (``_mirror``) swaps its ends and commutes with every move, so
-the move at the end is the start move of the mirrored path, mirrored back.
-All moves re-trace the edited profile with ``_skeleton`` (its left wall,
-lower convex hull and right wall, starting at the origin) and build their
-output with ``_assemble``.  Outputs accumulate modulo 2 (duplicate terms
-cancel).
+Each move is a splice: its output is ``groups[:i] + R + groups[j:]``, and R
+depends only on the groups it touches, (before, after) for a corner and
+(pair, first group) for a start move.  This is exact:
+
+- The edited profile is on or above the old one and equal to it outside the
+  touched columns, so every old hull edge outside R keeps a supporting line
+  below all points.
+- Classes are primitive, so inside R only the segment ends lie on the old
+  lines.  R's new directions are therefore strictly between before and after
+  (before the first class, for a start move): nothing merges with the
+  neighbouring groups.
+- A move whose output region holds <= 1 lattice point yields no term.  Only
+  D on ``H-;h(1,1)`` (and its mirror) leaves so little: R is empty, and on a
+  valid path nothing follows it.
+
+Reflection in a vertical line swaps the ends and commutes with every move,
+so the end move is the start move of the mirrored last group, R mirrored
+back.  Callers keep one dict of replacements across calls, keyed by
+(before, after), (pair, first group) and (last group, pair).  Outputs
+accumulate modulo 2 (duplicate terms cancel).
 """
 
 from __future__ import annotations
@@ -31,16 +43,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from .paths import (
-    EdgeGroup,
-    KLatticePath,
-    build_path,
-    column_bottoms,
-    format_path,
-    lower_hull,
-    slope_before,
-    validate,
-)
+from .paths import EdgeGroup, KLatticePath, format_path, lower_hull, validate
 
 
 class Chain:
@@ -86,158 +89,154 @@ class Chain:
 
 
 # ---------------------------------------------------------------------------
-# Skeleton of a column profile
+# Replacements
 
 
-def _skeleton(bottoms):
-    """Left wall + lower hull + right wall of a column profile.
-
-    Returns (down, middle, up) where down/up are the wall depths and middle
-    is a tuple of (q, p, mult) primitive direction classes in slope order.
-    Returns None when fewer than two points survive (the degenerate empty
-    outcome).
-    """
-    if sum(1 - b for b in bottoms) <= 1:
-        return None
-    hull = lower_hull(enumerate(bottoms))
-    middle = []
+def _hull_classes(points):
+    """(q, p, mult) classes of the lower hull of points, in slope order."""
+    hull = lower_hull(points)
+    out = []
     for (ax, ay), (bx, by) in zip(hull, hull[1:]):
         dx, dy = bx - ax, by - ay
         g = gcd(dx, abs(dy))
-        middle.append((dx // g, dy // g, g))
-    return (-hull[0][1], tuple(middle), -hull[-1][1])
+        out.append((dx // g, dy // g, g))
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Output assembly and the mirror
+def _rounded(before: EdgeGroup, after: EdgeGroup):
+    """Replacements of (before, after) when their corner is rounded.
 
-
-def _assemble(sp, ep, skel, hyperbolic):
-    """Path on the skeleton with pairs sp/ep; directions in hyperbolic keep h.
-
-    A pair takes one unit of its wall's depth.
+    Column c's lowest point, relative to the corner, is the ceiling of the
+    old path's height there; a vertical group spans no column.
     """
-    down, middle, up = skel
-    out_mid = [EdgeGroup(q, p, mult - 1, True) if (q, p) in hyperbolic
-               else EdgeGroup(q, p, mult, False) for q, p, mult in middle]
-    return build_path(sp, ep, down - sp, up - ep, out_mid)
+    n_h = before.h_flag + after.h_flag - 1
+    if n_h < 0:
+        return ()
+    bq, bp, aq, ap = before.q, before.p, after.q, after.p
+    points = ([(c, -(-c * bp // bq)) for c in range(-bq, 0)] + [(0, 1)]
+              + [(c, -(-c * ap // aq)) for c in range(1, aq + 1)])
+    classes = _hull_classes(points)
+    if before.mult > 1:
+        classes.insert(0, (bq, bp, before.mult - 1))
+    if after.mult > 1:
+        classes.append((aq, ap, after.mult - 1))
+    zone = [k for k, c in enumerate(classes) if c[0]]  # walls carry no h
+    return tuple(
+        tuple(EdgeGroup(q, p, m - 1, True) if k in placed
+              else EdgeGroup(q, p, m, False)
+              for k, (q, p, m) in enumerate(classes))
+        for placed in combinations(zone, n_h))
 
 
-def _mirror(path: KLatticePath) -> KLatticePath:
-    """Reflection in a vertical line: the ends swap and every slope flips."""
-    return KLatticePath(path.end_pair, path.start_pair, tuple(
-        EdgeGroup(q, -p, e, h) for q, p, e, h in reversed(path.groups)))
+def _started(pair: bool, first: EdgeGroup):
+    """(new start pair, replacement of first) for the C or D start move.
+
+    D when the path starts with a pair, else C; () when the move does not
+    fire.  The first class loses its h label.
+    """
+    q, p, mult = first.q, first.p, first.mult
+    if pair:
+        drop, new_pair = 1, False
+    elif p <= -q:
+        drop, new_pair = 1, True
+    elif p < 0:
+        drop, new_pair = 2, False
+    else:
+        return ()
+    # the kept columns drop .. q of the first class, then its other copies
+    points = [(c, -pair - (-c * p // q)) for c in range(drop, q + 1)]
+    wall = -points[0][1] - new_pair
+    out = [EdgeGroup(0, -1, wall, False)] if wall else []
+    out.extend(EdgeGroup(a, b, m, False) for a, b, m in _hull_classes(points))
+    if mult > 1:
+        out.append(EdgeGroup(q, p, mult - 1, False))
+    if not (out or new_pair):
+        return ()  # D on H-;h(1,1), whose output region is one point
+    return (new_pair, tuple(out))
+
+
+def _ended(last: EdgeGroup, pair: bool):
+    """The start move of the mirrored last group, mirrored back."""
+    started = _started(pair, last._replace(p=-last.p))
+    if not started:
+        return ()
+    new_pair, out = started
+    return (new_pair, tuple(g._replace(p=-g.p) for g in reversed(out)))
 
 
 # ---------------------------------------------------------------------------
-# Interior rounding
+# Moves
+
+
+def _rounding_terms(path, splices, acc):
+    """acc toggled by every corner-rounding output of the path."""
+    sp, ep, groups = path
+    for i in range(len(groups) - 1):
+        key = groups[i], groups[i + 1]
+        rs = splices.get(key)
+        if rs is None:
+            rs = splices[key] = _rounded(*key)
+        head, tail = groups[:i], groups[i + 2:]
+        for r in rs:
+            acc ^= {KLatticePath(sp, ep, head + r + tail)}
+    return acc
+
+
+def _end_terms(path, paired, splices, acc):
+    """acc toggled by the C (paired False) or D (paired True) end moves."""
+    sp, ep, groups = path
+    if groups and groups[0].h_flag and sp == paired:
+        key = (sp, groups[0])
+        move = splices.get(key)
+        if move is None:
+            move = splices[key] = _started(*key)
+        if move:
+            acc ^= {KLatticePath(move[0], ep, move[1] + groups[1:])}
+    if groups and groups[-1].h_flag and ep == paired:
+        key = (groups[-1], ep)
+        move = splices.get(key)
+        if move is None:
+            move = splices[key] = _ended(*key)
+        if move:
+            acc ^= {KLatticePath(sp, move[0], groups[:-1] + move[1])}
+    return acc
 
 
 def round_interior(path: KLatticePath) -> Chain:
     """Sum of all corner-rounding outputs of the path."""
-    groups = path.groups
-    flagged = {(q, p) for q, p, _, h in groups if h}
-    bottoms = column_bottoms(path)
-    acc = set()
-    # corners join consecutive groups, since pair edges sit only at the two
-    # ends; on a valid path every corner lies strictly below the axis
-    x = 0
-    for before, after in zip(groups, groups[1:]):
-        x += before.q * before.mult
-        n_h = before.h_flag + after.h_flag - 1
-        if n_h < 0:
-            continue
-        rounded = bottoms.copy()
-        rounded[x] += 1  # the corner is the bottom of its column
-        skel = _skeleton(rounded)
-        if skel is None:
-            continue
-        zone = [(q, p) for q, p, _ in skel[1]
-                if not slope_before(q, p, before.q, before.p)
-                and not slope_before(after.q, after.p, q, p)]
-        kept = flagged.difference(zone)
-        for placed in combinations(zone, n_h):
-            acc ^= {_assemble(path.start_pair, path.end_pair, skel,
-                              kept.union(placed))}
-    return Chain(acc)
-
-
-# ---------------------------------------------------------------------------
-# C and D moves
-
-
-def _start_move(path: KLatticePath):
-    """C or D move at the start of a path whose first group is hyperbolic.
-
-    D when the path starts with a pair, else C; None when the move does not
-    fire.
-    """
-    q, p = path.groups[0][:2]
-    if path.start_pair:
-        drop, sp = 1, False
-    elif p <= -q:
-        drop, sp = 1, True
-    elif p < 0:
-        drop, sp = 2, False
-    else:
-        return None
-    skel = _skeleton(column_bottoms(path)[drop:])
-    if skel is None:
-        return None
-    flagged = {(gq, gp) for gq, gp, _, h in path.groups if h}
-    flagged.discard((q, p))
-    return _assemble(sp, path.end_pair, skel, flagged)
-
-
-def _end_moves(path: KLatticePath, paired: bool) -> Chain:
-    """C moves (paired False) or D moves (paired True) at both ends.
-
-    The end move is the start move of the mirrored path, mirrored back.
-    """
-    groups = path.groups
-    acc = set()
-    if groups and groups[0].h_flag and path.start_pair == paired:
-        out = _start_move(path)
-        if out is not None:
-            acc ^= {out}
-    if groups and groups[-1].h_flag and path.end_pair == paired:
-        out = _start_move(_mirror(path))
-        if out is not None:
-            acc ^= {_mirror(out)}
-    return Chain(acc)
+    return Chain(_rounding_terms(path, {}, set()))
 
 
 def c_op(path: KLatticePath) -> Chain:
     """Corner move at the start and/or end of the path."""
-    return _end_moves(path, False)
+    return Chain(_end_terms(path, False, {}, set()))
 
 
 def d_op(path: KLatticePath) -> Chain:
     """Wall move consuming a half-arrow pair and its adjacent h class."""
-    return _end_moves(path, True)
+    return Chain(_end_terms(path, True, {}, set()))
 
 
-def _boundary(path: KLatticePath) -> Chain:
-    """The differential of a path known to be valid, with no validation."""
-    return round_interior(path) + c_op(path) + d_op(path)
-
-
-def differential(path: KLatticePath, checked=None) -> Chain:
+def differential(path: KLatticePath, checked=None, splices=None) -> Chain:
     """Full boundary: interior rounding + corner move + wall move, mod 2.
 
     The path and every term are validated.  checked, a dict a caller keeps
     across calls, has the paths already validated among its keys: they are
     not validated again, and the paths validated here join it with the
     value None.  A caller's memo of boundaries can serve as checked.
+    splices, another dict a caller keeps across calls, holds the
+    replacements of every move under the groups it touches.
     """
-    if checked is None:
-        checked = {}
+    checked = {} if checked is None else checked
+    splices = {} if splices is None else splices
     if path not in checked:
         validate(path)
         checked[path] = None
-    total = _boundary(path)
-    for term in total:
+    acc = _rounding_terms(path, splices, set())
+    _end_terms(path, False, splices, acc)
+    _end_terms(path, True, splices, acc)
+    for term in acc:
         if term not in checked:
             validate(term)
             checked[term] = None
-    return total
+    return Chain(acc)

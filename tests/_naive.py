@@ -5,7 +5,10 @@ enumeration.  The helpers use only constructors, validators, and evaluators
 (build_path, parse_path, validate, action, support) -- never the enumeration
 or search engines they are meant to check.  The h-free scan and its pass loop
 are the capacity search as it stood before the slope-order dynamic program,
-kept as that program's oracle.
+kept as that program's oracle.  The whole-profile differential is the
+differential as it stood before the moves became splices, kept as their
+oracle; it reads the whole column profile (column_bottoms) and re-hulls it
+with lower_hull, where the splices hull only the few points they touch.
 """
 
 import itertools
@@ -19,8 +22,10 @@ from kech.paths import (
     PathSemanticsError,
     action,
     build_path,
+    column_bottoms,
     down_run,
     format_path,
+    lower_hull,
     middle_groups,
     parse_path,
     slope_before,
@@ -86,6 +91,114 @@ def naive_validate(path):
     if path.end_pair:
         return "III"
     return "I"
+
+
+# ---------------------------------------------------------------------------
+# Whole-profile differential: every move edits the whole column profile
+# (paths.column_bottoms) and re-traces it
+
+
+def _skeleton(bottoms):
+    """Left wall depth, lower hull classes, right wall depth; None when
+    fewer than two region points survive (the move yields no term)."""
+    if sum(1 - b for b in bottoms) <= 1:
+        return None
+    hull = lower_hull(list(enumerate(bottoms)))
+    middle = []
+    for (ax, ay), (bx, by) in zip(hull, hull[1:]):
+        dx, dy = bx - ax, by - ay
+        g = math.gcd(dx, abs(dy))
+        middle.append((dx // g, dy // g, g))
+    return (-hull[0][1], tuple(middle), -hull[-1][1])
+
+
+def _assemble(sp, ep, skel, hyperbolic):
+    """Path on the skeleton with pairs sp/ep; directions in hyperbolic keep h.
+
+    A pair takes one unit of its wall's depth.
+    """
+    down, middle, up = skel
+    out_mid = [EdgeGroup(q, p, mult - 1, True) if (q, p) in hyperbolic
+               else EdgeGroup(q, p, mult, False) for q, p, mult in middle]
+    return build_path(sp, ep, down - sp, up - ep, out_mid)
+
+
+def _mirror(path):
+    """Reflection in a vertical line: the ends swap and every slope flips."""
+    return type(path)(path.end_pair, path.start_pair, tuple(
+        EdgeGroup(q, -p, e, h) for q, p, e, h in reversed(path.groups)))
+
+
+def naive_round_interior(path):
+    """Set of all corner-rounding outputs: raise the corner's column bottom
+    by 1, re-hull, and spread the freed h labels over the slope zone between
+    the two corner directions."""
+    groups = path.groups
+    flagged = {(q, p) for q, p, _, h in groups if h}
+    bottoms = column_bottoms(path)
+    acc = set()
+    x = 0
+    for before, after in zip(groups, groups[1:]):
+        x += before.q * before.mult
+        n_h = before.h_flag + after.h_flag - 1
+        if n_h < 0:
+            continue
+        rounded = bottoms.copy()
+        rounded[x] += 1
+        skel = _skeleton(rounded)
+        if skel is None:
+            continue
+        zone = [(q, p) for q, p, _ in skel[1]
+                if not slope_before(q, p, before.q, before.p)
+                and not slope_before(after.q, after.p, q, p)]
+        kept = flagged.difference(zone)
+        for placed in itertools.combinations(zone, n_h):
+            acc ^= {_assemble(path.start_pair, path.end_pair, skel,
+                              kept.union(placed))}
+    return acc
+
+
+def _start_move(path):
+    """C or D move at the start of a path whose first group is hyperbolic:
+    drop one or two whole columns and re-hull the rest; None when the move
+    does not fire."""
+    q, p = path.groups[0][:2]
+    if path.start_pair:
+        drop, sp = 1, False
+    elif p <= -q:
+        drop, sp = 1, True
+    elif p < 0:
+        drop, sp = 2, False
+    else:
+        return None
+    skel = _skeleton(column_bottoms(path)[drop:])
+    if skel is None:
+        return None
+    flagged = {(gq, gp) for gq, gp, _, h in path.groups if h}
+    flagged.discard((q, p))
+    return _assemble(sp, path.end_pair, skel, flagged)
+
+
+def naive_end_moves(path, paired):
+    """C moves (paired False) or D moves (paired True) at both ends, the end
+    move being the start move of the whole mirrored path, mirrored back."""
+    groups = path.groups
+    acc = set()
+    if groups and groups[0].h_flag and path.start_pair == paired:
+        out = _start_move(path)
+        if out is not None:
+            acc ^= {out}
+    if groups and groups[-1].h_flag and path.end_pair == paired:
+        out = _start_move(_mirror(path))
+        if out is not None:
+            acc ^= {_mirror(out)}
+    return acc
+
+
+def naive_differential(path):
+    """Frozen set of the boundary terms, by whole-profile moves, mod 2."""
+    return frozenset(naive_round_interior(path) ^ naive_end_moves(path, False)
+                     ^ naive_end_moves(path, True))
 
 
 def primitive_middle_directions(cap):

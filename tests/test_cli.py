@@ -3,6 +3,9 @@ import time
 
 import pytest
 
+import kech.census
+import kech.cli
+import kech.homology
 import kech.spectrum
 import kech.toric
 from kech.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
@@ -192,6 +195,32 @@ def test_out_of_reach_gromov_kmax_fails_fast(capsys, monkeypatch):
     assert code == EXIT_INPUT
     assert out == ""
     assert "out of reach" in err and str(kech.toric.GROMOV_KMAX_LIMIT) in err
+
+
+@pytest.mark.parametrize("command, limit", [
+    ("enumerate", kech.census.ENUMERATE_ACTION_LIMIT),
+    ("d2check", kech.homology.D2CHECK_ACTION_LIMIT),
+])
+def test_out_of_reach_action_fails_fast(capsys, monkeypatch, command, limit):
+    def refuse(*args):
+        raise AssertionError("the %s scan ran" % command)
+
+    monkeypatch.setattr(kech.cli, "generators_up_to_action", refuse)
+    monkeypatch.setattr(kech.cli, "d_squared_report", refuse)
+    for bound in ("1000", str(limit + 0.5)):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, command, "--max-action", bound)
+        assert time.monotonic() - t0 < 1.0
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "out of reach" in err and "max-action %d" % limit in err
+
+
+def test_action_at_the_limit_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(kech.cli, "d_squared_report", lambda bound: [])
+    code, _, err = run(capsys, "d2check", "--max-action",
+                       str(kech.homology.D2CHECK_ACTION_LIMIT))
+    assert code == EXIT_OK and err == ""
 
 
 def test_cap_toric_bad_domain_exits_input(capsys):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from _naive import naive_differential, naive_end_moves, naive_round_interior
 from kech.census import generators_up_to_action
 from kech.diff import Chain, c_op, d_op, differential, round_interior
 from kech.paths import (
@@ -49,6 +50,10 @@ DIFFERENTIAL_ORACLE = {
 # slice, in slice order; frozen
 ACTION_8_DIFFERENTIAL_SHA256 = (
     "9d2f470eeb55b5922b788f017b6fcc409dd3477bbca16fa1a92501ebe02c0bfd"
+)
+# the same over the action-10 slice, frozen from the whole-profile moves
+ACTION_10_DIFFERENTIAL_SHA256 = (
+    "bf9633a0b0b595940107de3e684d409c1a14e2f55b408a4bf926716e3c3deb02"
 )
 
 
@@ -140,6 +145,91 @@ def test_differential_digest_of_action_8_slice():
     assert digest.hexdigest() == ACTION_8_DIFFERENTIAL_SHA256
 
 
+@pytest.fixture(scope="module")
+def action_10_slice():
+    return tuple(generators_up_to_action(10.0).all_generators())
+
+
+def test_differential_digest_of_action_10_slice(action_10_slice):
+    digest = hashlib.sha256()
+    for p in action_10_slice:
+        digest.update((format_path(p) + ">" + str(differential(p)) + "\n").encode())
+    assert len(action_10_slice) == 14773
+    assert digest.hexdigest() == ACTION_10_DIFFERENTIAL_SHA256
+
+
+def test_differential_matches_naive_on_action_10_slice(action_10_slice):
+    checked, splices = {}, {}
+    for p in action_10_slice:
+        assert set(differential(p, checked, splices)) == naive_differential(p), (
+            format_path(p))
+
+
+def test_component_moves_match_naive_on_action_8_slice():
+    for p in generators_up_to_action(8.0).all_generators():
+        assert set(round_interior(p)) == naive_round_interior(p), format_path(p)
+        assert set(c_op(p)) == naive_end_moves(p, False), format_path(p)
+        assert set(d_op(p)) == naive_end_moves(p, True), format_path(p)
+
+
+def test_fresh_and_reused_memos_give_equal_chains():
+    checked, splices = {}, {}
+    for p in generators_up_to_action(8.0).all_generators():
+        assert differential(p, checked, splices) == differential(p), format_path(p)
+
+
+def test_end_move_leaving_one_region_point_yields_no_term():
+    # D at the end of h(1,-1);H+ and at the start of H-;h(1,1) would leave
+    # only the axis point; the C move at the other end is the only term
+    for spec in ("h(1,-1);H+", "H-;h(1,1)"):
+        p = parse_path(spec)
+        assert chain_specs(d_op(p)) == []
+        assert chain_specs(differential(p)) == ["H-;H+"]
+        assert set(differential(p)) == naive_differential(p)
+
+
+# spec -> a term of its differential; the first corner of each spec touches
+# a wall, the last two have several classes on both sides of a corner
+SPLICE_CASES = {
+    "e(0,-1);h(2,1)": "e(1,0)^2",  # down wall of run 1 vanishes
+    "h(2,-1);e(0,1)": "e(1,0)^2",  # up wall of run 1 vanishes
+    "e(0,-1)^2;h(2,1);e(0,1)": "e(0,-1);e(1,0)^2;e(0,1)",  # run 2 -> 1
+    "e(0,-1);h(2,-1);e(0,1)^2": "e(0,-1);e(1,0)^2;e(0,1)",
+    "h(1,-1);h(1,1)": "h(1,0);e(1,0)",  # one class on each side
+    "h(1,-1);e(1,-1);h(1,1);e(1,1)": "e(1,-1);h(1,0);e(1,0);e(1,1)",
+    "h(2,-1);e(2,-1);h(2,1);e(2,1)": "h(2,-1);e(1,0)^4;e(2,1)",
+}
+
+
+def test_splices_at_walls_and_multiple_classes_match_naive():
+    for spec, term in SPLICE_CASES.items():
+        p = parse_path(spec)
+        assert term in chain_specs(differential(p)), spec
+        assert set(differential(p)) == naive_differential(p), spec
+        assert set(round_interior(p)) == naive_round_interior(p), spec
+
+
+def test_width_zero_paths_have_no_boundary():
+    for spec in ("e(0,-1);e(0,1)", "H-;H+"):
+        p = parse_path(spec)
+        assert chain_specs(differential(p)) == []
+        assert naive_differential(p) == frozenset()
+
+
+def test_paths_sharing_a_corner_share_its_replacements():
+    splices = {}
+    first = parse_path("h(1,-1);h(1,1)")
+    second = parse_path("e(0,-1);h(1,-1);h(1,1);e(0,1)")
+    differential(first, None, splices)
+    corner = (first.groups[0], first.groups[1])
+    entry = splices[corner]
+    assert entry == ((EdgeGroup(1, 0, 1, True),),)
+    boundary = differential(second, None, splices)
+    assert splices[corner] is entry
+    assert parse_path("e(0,-1);h(1,0);e(1,0);e(0,1)") in boundary
+    assert set(boundary) == naive_differential(second)
+
+
 def mirror(path):
     """Reflection in a vertical line: the two ends swap, slopes flip sign."""
     return KLatticePath(path.end_pair, path.start_pair, tuple(
@@ -162,13 +252,12 @@ DIRECTIONS = sorted(((q, p) for q in range(1, 5) for p in range(-4, 5)
                      if math.gcd(q, abs(p)) == 1), key=lambda d: d[1] / d[0])
 
 
-def test_differential_properties_on_large_generators():
-    hypothesis = pytest.importorskip("hypothesis")
+def large_generators(hypothesis):
+    """Strategy of valid paths of action 14-20: random classes, closing walls."""
     st = hypothesis.strategies
 
     @st.composite
     def generators(draw):
-        """A valid path of action 14-20: random classes, closing walls."""
         sp, ep = draw(st.booleans()), draw(st.booleans())
         classes = draw(st.dictionaries(
             st.sampled_from(DIRECTIONS),
@@ -191,9 +280,15 @@ def test_differential_properties_on_large_generators():
         hypothesis.assume(action(path) <= 20)
         return path
 
+    return generators()
+
+
+def test_differential_properties_on_large_generators():
+    hypothesis = pytest.importorskip("hypothesis")
+
     @hypothesis.settings(max_examples=150, derandomize=True, deadline=None,
                          database=None)
-    @hypothesis.given(generators())
+    @hypothesis.given(large_generators(hypothesis))
     def check(p):
         validate(p)
         boundary = differential(p)
@@ -205,5 +300,17 @@ def test_differential_properties_on_large_generators():
             square = square + differential(term)
         assert len(square) == 0, format_path(p)
         assert {mirror(t) for t in boundary} == set(differential(mirror(p)))
+
+    check()
+
+
+def test_differential_matches_naive_on_large_generators():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(large_generators(hypothesis))
+    def check(p):
+        assert set(differential(p)) == naive_differential(p), format_path(p)
 
     check()
