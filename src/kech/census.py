@@ -20,9 +20,9 @@ whole run fails too and the direction loop jumps past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import sqrt
+from typing import NamedTuple
 
 from .diff import differential
 from .paths import TOL, EdgeGroup, build_path, format_path
@@ -34,8 +34,7 @@ from .paths import TOL, EdgeGroup, build_path, format_path
 ENUMERATE_ACTION_LIMIT = 15
 
 
-@dataclass(frozen=True)
-class ComplexSlice:
+class ComplexSlice(NamedTuple):
     """All valid generators with action <= action_bound, grouped by grading."""
 
     action_bound: float
@@ -55,8 +54,7 @@ class ComplexSlice:
         return sum(len(v) for v in self.per_degree.values())
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(NamedTuple):
     """GF(2) matrix of the boundary map, columns stored as int bitsets."""
 
     rows: tuple

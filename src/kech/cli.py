@@ -13,9 +13,18 @@ import json
 import math
 import sys
 
-from .census import ENUMERATE_ACTION_LIMIT, generators_up_to_action
+from .census import (
+    ENUMERATE_ACTION_LIMIT,
+    generators_of_grading,
+    generators_up_to_action,
+)
 from .diff import differential
-from .homology import D2CHECK_ACTION_LIMIT, betti_numbers, d_squared_report
+from .homology import (
+    D2CHECK_ACTION_LIMIT,
+    HOMOLOGY_DEGREE_LIMIT,
+    betti_numbers,
+    d_squared_report,
+)
 from .paths import (
     PathError,
     action,
@@ -163,14 +172,13 @@ def _action_bound(args) -> float:
 def _cmd_enumerate(args):
     max_action = _action_bound(args)
     _within_reach("max-action", max_action, ENUMERATE_ACTION_LIMIT)
-    sl = generators_up_to_action(max_action)
-    rows = []
-    for degree in sl.degrees():
-        if args.grading is not None and degree != args.grading:
-            continue
-        for path in sl.generators(degree):
-            rows.append({"spec": format_path(path), "grading": degree,
-                         "action": action(path)})
+    if args.grading is None:
+        sl = generators_up_to_action(max_action)
+        slices = [(degree, sl.generators(degree)) for degree in sl.degrees()]
+    else:
+        slices = [(args.grading, generators_of_grading(args.grading, max_action))]
+    rows = [{"spec": format_path(path), "grading": degree, "action": action(path)}
+            for degree, paths in slices for path in paths]
     return (("spec", "grading", "action"), rows, EXIT_OK)
 
 
@@ -188,6 +196,7 @@ def _cmd_homology(args):
     max_action = _action_bound(args)
     if args.max_degree < 0:
         raise ValueError("degree bound must be nonnegative")
+    _within_reach("max-degree", args.max_degree, HOMOLOGY_DEGREE_LIMIT)
     rows = [{"degree": k, "betti": b}
             for k, b in enumerate(betti_numbers(args.max_degree, max_action))]
     return (("degree", "betti"), rows, EXIT_OK)

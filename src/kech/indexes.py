@@ -11,7 +11,7 @@ partitions attached to orbit ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .paths import (
     EMPTY_PATH,
@@ -110,8 +110,7 @@ def ech_index_decomposed(path: KLatticePath) -> int:
     return relative_chern(path, EMPTY_PATH) + q_tau(path) + cz_total(path)
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(NamedTuple):
     """Topological data of a curve between two orbit multisets."""
 
     genus: int

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -58,8 +57,7 @@ class EdgeGroup(NamedTuple):
         return self.q == 0
 
 
-@dataclass(frozen=True)
-class H1Class:
+class H1Class(NamedTuple):
     """First-homology class with free part n and two 2-torsion bits a, b."""
 
     n: int

@@ -50,8 +50,8 @@ c_k^2/k >= 2*pi - O(k^-1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, pi, sqrt
+from typing import NamedTuple
 
 from .census import _directions
 from .paths import (
@@ -77,8 +77,7 @@ REFERENCE_CONTACT_VOLUME = pi
 KMAX_LIMIT = 400
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     k: int
     value: float
     witness: KLatticePath

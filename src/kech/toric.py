@@ -32,9 +32,9 @@ runs again with no cutoff; ``toric_dp.replay`` gives the argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import gcd, inf, isfinite
+from typing import NamedTuple
 
 from .paths import (
     TOL,
@@ -58,8 +58,7 @@ from .toric_dp import MARGIN, replay
 # Convex generators
 
 
-@dataclass(frozen=True)
-class CgClass:
+class CgClass(NamedTuple):
     """One class of parallel edges of displacement (a, -b), a, b >= 0."""
 
     a: int
@@ -76,8 +75,7 @@ class CgClass:
         return self.a >= 1 and self.b >= 1
 
 
-@dataclass(frozen=True)
-class ConvexGenerator:
+class ConvexGenerator(NamedTuple):
     """Concave-ordered labeled lattice path encoding a boundary generator."""
 
     groups: tuple
@@ -177,8 +175,7 @@ def cg_grading(cg: ConvexGenerator) -> int:
 # Toric domains
 
 
-@dataclass(frozen=True)
-class ToricDomain:
+class ToricDomain(NamedTuple):
     """Convex moment region in the first quadrant, kept as hull vertices."""
 
     kind: str
@@ -222,11 +219,15 @@ class ToricDomain:
         return ToricDomain("polygon", pts, pts)
 
     def describe(self) -> str:
-        if self.kind == "ball":
-            return "ball:%g" % self.params[0]
-        if self.kind == "ellipsoid":
-            return "ellipsoid:%g,%g" % self.params[:2]
-        return "polygon:" + ";".join("%g,%g" % p for p in self.params)
+        if self.kind == "polygon":
+            return "polygon:" + ";".join(",".join(map(_echo, p)) for p in self.params)
+        return "%s:%s" % (self.kind, ",".join(map(_echo, self.params)))
+
+
+def _echo(x: float) -> str:
+    """%g when that reads back as x, repr otherwise: the echo is lossless."""
+    text = "%g" % x
+    return text if float(text) == x else repr(x)
 
 
 def _hull_with_origin(pts):
@@ -647,8 +648,7 @@ def embedding_obstructed(domain: ToricDomain, path: KLatticePath) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GromovRecord:
+class GromovRecord(NamedTuple):
     k: int
     generator_spec: str
     rhs_action: float
@@ -658,8 +658,7 @@ class GromovRecord:
     flat_candidate_bound: float
 
 
-@dataclass(frozen=True)
-class GromovReport:
+class GromovReport(NamedTuple):
     records: tuple
     running_inf: tuple
 

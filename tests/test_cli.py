@@ -96,6 +96,39 @@ def test_enumerate_grading_filter(capsys):
     assert all(r[1] == "1" for r in rows[1:])
 
 
+def test_enumerate_grading_rows_are_the_full_rows_of_that_grading(capsys):
+    import csv as csvmod
+
+    code, out, _ = run(capsys, "--format", "csv", "enumerate", "--max-action", "7")
+    assert code == EXIT_OK
+    header, *lines = out.splitlines()
+    gradings = [next(csvmod.reader([line]))[1] for line in lines]
+    assert len(set(gradings)) > 3
+    for g in range(-1, max(map(int, gradings)) + 2):
+        code, got, _ = run(capsys, "--format", "csv", "enumerate",
+                           "--max-action", "7", "--grading", str(g))
+        assert code == EXIT_OK
+        assert got.splitlines() == [header] + [
+            line for line, h in zip(lines, gradings) if h == str(g)], g
+
+
+def test_enumerate_grading_never_builds_an_uncapped_slice(capsys, monkeypatch):
+    capped = kech.census.generators_up_to_action
+
+    def only_capped(max_action, max_grading=None):
+        if max_grading is None:
+            raise AssertionError("an uncapped slice was built")
+        return capped(max_action, max_grading)
+
+    monkeypatch.setattr(kech.census, "generators_up_to_action", only_capped)
+    monkeypatch.setattr(kech.cli, "generators_up_to_action", only_capped)
+    code, out, _ = run(capsys, "--format", "csv", "enumerate", "--max-action",
+                       str(kech.census.ENUMERATE_ACTION_LIMIT), "--grading", "2")
+    assert code == EXIT_OK
+    rows = out.splitlines()[1:]
+    assert rows and all(",2," in row for row in rows)
+
+
 def test_d2check_clean(capsys):
     code, out, _ = run(capsys, "d2check", "--max-action", "4")
     assert code == EXIT_OK
@@ -221,6 +254,22 @@ def test_action_at_the_limit_is_accepted(capsys, monkeypatch):
     code, _, err = run(capsys, "d2check", "--max-action",
                        str(kech.homology.D2CHECK_ACTION_LIMIT))
     assert code == EXIT_OK and err == ""
+
+
+def test_out_of_reach_homology_degree_fails_fast(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the homology scan ran")
+
+    monkeypatch.setattr(kech.cli, "betti_numbers", refuse)
+    monkeypatch.setattr(kech.homology, "generators_up_to_action", refuse)
+    limit = kech.homology.HOMOLOGY_DEGREE_LIMIT
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "homology", "--max-action", "1000",
+                         "--max-degree", str(limit + 1))
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "out of reach" in err and "max-degree %d" % limit in err
 
 
 def test_cap_toric_bad_domain_exits_input(capsys):

@@ -1,0 +1,92 @@
+"""Every public record is a named tuple: a plain value, cheap to import."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import kech
+from kech.census import BitMatrix, ComplexSlice, boundary_matrix, generators_up_to_action
+from kech.indexes import CurveData
+from kech.paths import EMPTY_PATH, H1Class, parse_path
+from kech.spectrum import CapacityResult, capacity
+from kech.toric import (
+    CgClass,
+    ConvexGenerator,
+    GromovRecord,
+    GromovReport,
+    ToricDomain,
+    gromov_upper,
+    make_convex_generator,
+)
+
+FIELDS = {
+    ComplexSlice: ("action_bound", "per_degree"),
+    BitMatrix: ("rows", "cols", "columns"),
+    CurveData: ("genus", "alpha", "beta"),
+    H1Class: ("n", "a", "b"),
+    CapacityResult: ("k", "value", "witness"),
+    CgClass: ("a", "b", "e_mult", "h_flag"),
+    ConvexGenerator: ("groups",),
+    ToricDomain: ("kind", "params", "vertices"),
+    GromovRecord: ("k", "generator_spec", "rhs_action", "min_lhs_action",
+                   "witness_spec", "bound", "flat_candidate_bound"),
+    GromovReport: ("records", "running_inf"),
+}
+
+
+def _samples():
+    report = gromov_upper(2)
+    return [
+        generators_up_to_action(4.0),
+        boundary_matrix(2, 5.0),
+        CurveData(0, parse_path("h(1,-1);h(1,1)"), EMPTY_PATH),
+        H1Class(2, 1, 0),
+        capacity(3),
+        CgClass(1, 2, 1, True),
+        make_convex_generator([(1, 0, 1, False), (1, 1, 2, True)]),
+        ToricDomain.ellipsoid(1.0, 2.0),
+        report.records[1],
+        report,
+    ]
+
+
+def test_importing_kech_loads_neither_dataclasses_nor_inspect():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kech.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); import kech.cli, kech; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("record", _samples(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_values(record):
+    cls = type(record)
+    names = FIELDS[cls]
+    values = tuple(getattr(record, name) for name in names)
+    assert tuple(record) == values
+    assert record == cls(*values)
+    if cls is ComplexSlice:
+        # per_degree is a dict, so neither the slice nor its fields hash
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(values)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert repr(record) == "%s(%s)" % (
+        cls.__name__, ", ".join("%s=%r" % pair for pair in zip(names, values)))
+
+
+def test_record_overrides_of_tuple_methods_still_hold():
+    total = H1Class(1, 1, 0) + H1Class(2, 1, 1)
+    assert type(total) is H1Class and total == H1Class(3, 0, 1)
+    assert str(total) == "(3,0,1)"
+    sl = generators_up_to_action(6.0)
+    assert sl.count() == len(list(sl.all_generators())) > 0
+    assert sl.count() == sum(len(sl.generators(k)) for k in sl.degrees())

@@ -172,6 +172,17 @@ def test_parse_domain_round_trip():
         assert parse_domain(text).describe() == text
 
 
+def test_domain_echo_is_lossless():
+    for text in ("ball:1.4000000001", "ellipsoid:1,2.000001",
+                 "polygon:2,0;1.0000001,2.25;0,1"):
+        domain = parse_domain(text)
+        assert domain.describe() == text
+        assert parse_domain(domain.describe()) == domain
+    echoes = [parse_domain(text).describe()
+              for text in ("ball:1.4", "ball:1.4000000001", "ball:1.4000000005")]
+    assert echoes == ["ball:1.4", "ball:1.4000000001", "ball:1.4000000005"]
+
+
 def test_parse_domain_errors():
     for bad in ("ball", "ball:x", "ball:-1", "cube:1", "polygon:",
                 "ellipsoid:1", "ellipsoid:0,1", "polygon:1", "ball:1,2",
