@@ -6,19 +6,13 @@ half-arrow pair moves, action-filtered homology and the resulting capacity
 spectrum, plus the convex-toric-domain embedding obstruction pipeline.
 """
 
-from .census import (
-    BitMatrix,
-    ComplexSlice,
-    boundary_matrix,
-    generators_of_grading,
-    generators_up_to_action,
-)
+from .census import ComplexSlice, generators_of_grading, generators_up_to_action
 from .diff import Chain, c_op, d_op, differential, round_interior
 from .homology import (
+    barcode,
     betti,
     betti_numbers,
     d_squared_report,
-    gf2_rank,
     stabilized_betti,
 )
 from .indexes import (

@@ -24,7 +24,6 @@ from itertools import combinations
 from math import sqrt
 from typing import NamedTuple
 
-from .diff import differential
 from .paths import TOL, EdgeGroup, build_path, format_path
 
 #: Largest action bound the command line accepts for enumerate.  The whole
@@ -52,18 +51,6 @@ class ComplexSlice(NamedTuple):
 
     def count(self) -> int:
         return sum(len(v) for v in self.per_degree.values())
-
-
-class BitMatrix(NamedTuple):
-    """GF(2) matrix of the boundary map, columns stored as int bitsets."""
-
-    rows: tuple
-    cols: tuple
-    columns: tuple
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.cols))
 
 
 def _directions(cap: float):
@@ -198,31 +185,11 @@ def generators_up_to_action(max_action: float, max_grading=None) -> ComplexSlice
 
 def generators_of_grading(k: int, max_action: float) -> tuple:
     """All generators of one grading within the action bound."""
-    return generators_up_to_action(max_action, max_grading=k).generators(k)
+    paths = []
 
+    def emit(sp, ep, m, n, chosen, marked, deg, total):
+        if deg == k:
+            paths.append(build_generator(sp, ep, m, n, chosen, marked))
 
-def boundary_columns(rows, cols) -> BitMatrix:
-    """Matrix of the differential from the generators cols into rows.
-
-    All columns share one set of validated paths and one memo of move
-    replacements.
-    """
-    index = {p: i for i, p in enumerate(rows)}
-    checked, splices = {}, {}
-    columns = []
-    for col in cols:
-        bits = 0
-        for term in differential(col, checked, splices):
-            if term not in index:
-                raise AssertionError(
-                    "differential left the action slice: %s -> %s"
-                    % (format_path(col), format_path(term)))
-            bits |= 1 << index[term]
-        columns.append(bits)
-    return BitMatrix(tuple(rows), tuple(cols), tuple(columns))
-
-
-def boundary_matrix(k: int, max_action: float) -> BitMatrix:
-    """Matrix of the differential from grading k to k-1 within the slice."""
-    sl = generators_up_to_action(max_action, max_grading=k)
-    return boundary_columns(sl.generators(k - 1), sl.generators(k))
+    scan_generators(max_action, emit, max_grading=k)
+    return tuple(sorted(paths, key=format_path))

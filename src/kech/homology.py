@@ -1,10 +1,12 @@
-"""GF(2) linear algebra and graded homology of the filtered complex."""
+"""Homology of the action-filtered complex over GF(2), read from one barcode."""
 
 from __future__ import annotations
 
-from .census import BitMatrix, boundary_columns, generators_up_to_action
+from math import inf
+
+from .census import generators_up_to_action
 from .diff import differential
-from .paths import TOL, format_path
+from .paths import TOL, action, format_path
 
 #: Largest action bound the command line accepts for d2check.
 #: d_squared_report ends within a minute up to here on a 2-core Xeon with
@@ -14,25 +16,10 @@ D2CHECK_ACTION_LIMIT = 14
 
 #: Largest degree bound the command line accepts for homology.  The grading
 #: cap bounds the scan, so its time levels off as the action grows.  At action
-#: 1e6 on a 2-core Xeon with Python 3.11, betti_numbers takes 40 s at degree
-#: 24, 53 s at 25 and 68 s at 26 (peak RSS 27 MiB).
+#: 1e6 on a 2-core Xeon with Python 3.11, betti_numbers takes 41 s at degree
+#: 24, 54 s at 25 and 67 s at 26 (peak RSS 34, 39 and 45 MiB), nearly all
+#: of it in the scan (15.3 of 15.4 s at degree 20).
 HOMOLOGY_DEGREE_LIMIT = 25
-
-
-def gf2_rank(matrix: BitMatrix) -> int:
-    """Rank over GF(2) by column elimination in canonical column order."""
-    pivots = {}
-    rank = 0
-    for vec in matrix.columns:
-        while vec:
-            top = vec.bit_length() - 1
-            if top in pivots:
-                vec ^= pivots[top]
-            else:
-                pivots[top] = vec
-                rank += 1
-                break
-    return rank
 
 
 def d_squared_report(max_action: float):
@@ -66,24 +53,66 @@ def d_squared_report(max_action: float):
     return violations
 
 
-def betti(k: int, max_action: float) -> int:
-    """dim ker(boundary at grading k) - rank(boundary from grading k+1)."""
-    return betti_numbers(k, max_action)[k]
+def barcode(max_degree: int, max_action: float):
+    """Persistence bars (degree, birth, death) for degrees <= max_degree.
 
-
-def betti_numbers(max_degree: int, max_action: float):
-    """[betti(k, max_action) for k = 0 .. max_degree] from one slice.
-
-    With r_j = rank(boundary: C_j -> C_{j-1}), betti_k = |C_k| - r_k - r_{k+1};
-    each r_j is computed once.
+    Birth and death are actions; death is inf for a class that lives to
+    max_action.  One slice of gradings <= max_degree + 1 is reduced, with its
+    columns in filtration order (action, grading, spec).  The differential
+    strictly lowers action, so each boundary lies to the left of its column.
+    Columns are reduced by their lowest set bit, degree by degree from the
+    top, with clearing: a column that is already the pivot of a column one
+    degree up reduces to zero and is skipped.  Bars come in the filtration
+    order of their births.
     """
     if max_degree < 0:
         raise ValueError("grading must be nonnegative")
     sl = generators_up_to_action(max_action, max_grading=max_degree + 1)
-    ranks = [gf2_rank(boundary_columns(sl.generators(j - 1), sl.generators(j)))
-             for j in range(max_degree + 2)]
-    return [len(sl.generators(k)) - ranks[k] - ranks[k + 1]
-            for k in range(max_degree + 1)]
+    # a stable sort by action of a slice already in (grading, spec) order
+    order = sorted(((action(path), k, path) for k in sl.degrees()
+                    for path in sl.generators(k)), key=lambda cell: cell[0])
+    index = {path: i for i, (_, _, path) in enumerate(order)}
+    # one set of validated paths and one memo of move replacements
+    checked, splices = {}, {}
+    reduced = {}  # lowest set bit -> the reduced column that owns it
+    killer = {}   # lowest set bit -> index of that column
+    # a stable sort: degrees from the top, filtration order within each
+    for j in sorted(range(len(order)), key=lambda j: -order[j][1]):
+        if j in reduced:
+            continue
+        path = order[j][2]
+        bits = 0
+        for term in differential(path, checked, splices):
+            if term not in index:
+                raise AssertionError(
+                    "differential left the action slice: %s -> %s"
+                    % (format_path(path), format_path(term)))
+            bits |= 1 << index[term]
+        while bits:
+            low = bits.bit_length() - 1
+            if low not in reduced:
+                reduced[low] = bits
+                killer[low] = j
+                break
+            bits ^= reduced[low]
+    deaths = set(killer.values())
+    return [(k, birth, order[killer[i]][0] if i in killer else inf)
+            for i, (birth, k, _) in enumerate(order)
+            if k <= max_degree and i not in deaths]
+
+
+def betti(k: int, max_action: float) -> int:
+    """dim H_k of the slice below max_action."""
+    return betti_numbers(k, max_action)[k]
+
+
+def betti_numbers(max_degree: int, max_action: float):
+    """[betti(k, max_action) for k = 0 .. max_degree]: the essential bars."""
+    counts = [0] * (max_degree + 1)
+    for k, _, death in barcode(max_degree, max_action):
+        if death == inf:
+            counts[k] += 1
+    return counts
 
 
 def stabilized_betti(k: int, max_bound: float = 32.0):
@@ -92,20 +121,26 @@ def stabilized_betti(k: int, max_bound: float = 32.0):
     Convergence requires the value to survive two consecutive doublings
     (a single agreement can be a finite-size coincidence).  Returns
     (stable value, first action bound of the plateau).  Raises
-    RuntimeError when the configured bound is exhausted first.
+    RuntimeError when the configured bound is exhausted first.  One barcode
+    at the largest bound the doublings reach answers every bound b: betti
+    at b counts the degree-k bars with birth <= b < death, with the scan's
+    tolerance.
     """
-    memo = {}
-
-    def at(bound):
-        if bound not in memo:
-            memo[bound] = betti(k, bound)
-        return memo[bound]
-
+    ladder = []
     bound = 4.0
     while bound <= max_bound + TOL:
+        ladder.append(bound)
+        bound *= 2
+    if ladder:
+        bars = [(birth, death) for degree, birth, death
+                in barcode(k, 4 * ladder[-1]) if degree == k]
+
+    def at(bound):
+        return sum(1 for birth, death in bars if birth <= bound + TOL < death)
+
+    for bound in ladder:
         value = at(bound)
         if at(2 * bound) == value and at(4 * bound) == value:
             return (value, bound)
-        bound *= 2
     raise RuntimeError(
         "betti(%d) did not stabilize within action bound %g" % (k, max_bound))

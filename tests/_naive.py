@@ -9,13 +9,20 @@ kept as that program's oracle.  The whole-profile differential is the
 differential as it stood before the moves became splices, kept as their
 oracle; it reads the whole column profile (column_bottoms) and re-hulls it
 with lower_hull, where the splices hull only the few points they touch.
+The boundary matrices and their GF(2) ranks are homology as it stood before
+the persistence reduction, one rank per degree, kept as the barcode's oracle;
+they take the slice and the differential from the engines, and share nothing
+with the reduction.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
+from kech.census import generators_up_to_action
+from kech.diff import differential
 from kech.paths import (
     EdgeGroup,
     PathError,
@@ -723,3 +730,54 @@ def naive_min_action_search(domain, i_target, xy_bound, flexible_h):
     # pool now rather than at the next cyclic garbage collection
     del rec, descend
     return best_val, best_wit
+
+
+class BitMatrix(NamedTuple):
+    """GF(2) matrix of the boundary map, columns stored as int bitsets."""
+
+    rows: tuple
+    cols: tuple
+    columns: tuple
+
+    @property
+    def shape(self):
+        return (len(self.rows), len(self.cols))
+
+
+def boundary_matrix(k, max_action):
+    """Matrix of the differential from grading k to k-1 within the slice.
+
+    All columns share one set of validated paths and one memo of move
+    replacements.
+    """
+    sl = generators_up_to_action(max_action, max_grading=k)
+    rows, cols = sl.generators(k - 1), sl.generators(k)
+    index = {p: i for i, p in enumerate(rows)}
+    checked, splices = {}, {}
+    columns = []
+    for col in cols:
+        bits = 0
+        for term in differential(col, checked, splices):
+            if term not in index:
+                raise AssertionError(
+                    "differential left the action slice: %s -> %s"
+                    % (format_path(col), format_path(term)))
+            bits |= 1 << index[term]
+        columns.append(bits)
+    return BitMatrix(tuple(rows), tuple(cols), tuple(columns))
+
+
+def gf2_rank(matrix):
+    """Rank over GF(2) by column elimination in canonical column order."""
+    pivots = {}
+    rank = 0
+    for vec in matrix.columns:
+        while vec:
+            top = vec.bit_length() - 1
+            if top in pivots:
+                vec ^= pivots[top]
+            else:
+                pivots[top] = vec
+                rank += 1
+                break
+    return rank

@@ -3,13 +3,11 @@ import math
 
 import pytest
 
-from _naive import h_free_path, naive_generators, naive_h_free_scan
+from _naive import boundary_matrix, h_free_path, naive_generators, naive_h_free_scan
 from kech.census import (
-    BitMatrix,
     ComplexSlice,
     _directions,
     _skips,
-    boundary_matrix,
     generators_of_grading,
     generators_up_to_action,
     scan_generators,

@@ -1,15 +1,20 @@
-from kech.census import BitMatrix, boundary_matrix, generators_up_to_action
+import math
+
 import pytest
 
+from _naive import BitMatrix, boundary_matrix, gf2_rank
 import kech.diff
+from kech.census import generators_up_to_action
 from kech.diff import differential
 from kech.homology import (
+    barcode,
     betti,
     betti_numbers,
     d_squared_report,
-    gf2_rank,
     stabilized_betti,
 )
+from kech.paths import TOL
+from kech.spectrum import capacity_series
 
 
 def _matrix(rows, cols, entries):
@@ -109,3 +114,38 @@ def test_betti_numbers_match_betti_per_degree():
             [betti(k, bound) for k in range(max_degree + 1)]
     with pytest.raises(ValueError):
         betti_numbers(-1, 4.0)
+
+
+def test_betti_matches_the_rank_oracle():
+    # dim H_k = dim C_k - rank d_k - rank d_{k+1}, with the ranks from the
+    # per-degree boundary matrices; the bars of one larger slice give the
+    # same value at each smaller bound
+    bars = barcode(8, 16.0)
+    for bound in (4.0, 5.0, 6.0, 8.0, 12.0, 16.0):
+        for k in range(9):
+            up = boundary_matrix(k + 1, bound)
+            expect = (len(up.rows) - gf2_rank(boundary_matrix(k, bound))
+                      - gf2_rank(up))
+            assert betti(k, bound) == expect, (k, bound)
+            alive = sum(1 for degree, birth, death in bars
+                        if degree == k and birth <= bound + TOL < death)
+            assert alive == expect, (k, bound)
+
+
+def test_capacities_are_births_of_even_degree_classes():
+    # c_k is the action at which the degree-2k class is born; the other
+    # essential classes of degree 2k are born at the slice's own bound, where
+    # the classes that would kill them are cut off
+    bound = 16.0
+    essential = {}
+    for degree, birth, death in barcode(21, bound):
+        if death == math.inf:
+            essential.setdefault(degree, []).append(birth)
+    truncated = set()
+    for k, result in enumerate(capacity_series(10)):
+        births = sorted(essential[2 * k])
+        assert abs(births[0] - result.value) <= 1e-9, k
+        assert all(abs(birth - bound) <= 1e-9 for birth in births[1:]), k
+        if len(births) > 1:
+            truncated.add(k)
+    assert truncated == {7, 8}

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import kech
-from kech.census import BitMatrix, ComplexSlice, boundary_matrix, generators_up_to_action
+from _naive import BitMatrix, boundary_matrix
+from kech.census import ComplexSlice, generators_up_to_action
 from kech.indexes import CurveData
 from kech.paths import EMPTY_PATH, H1Class, parse_path
 from kech.spectrum import CapacityResult, capacity
