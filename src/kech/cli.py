@@ -31,6 +31,7 @@ from .paths import (
     format_path,
     grading,
     grading_lattice,
+    pair_count,
     parse_path,
     total_class,
     validate,
@@ -39,6 +40,7 @@ from .spectrum import KMAX_LIMIT, capacity, capacity_series, weyl_series
 from .toric import (
     GROMOV_KMAX_LIMIT,
     K_LIMIT,
+    OBSTRUCT_ITEMS_LIMIT,
     embedding_obstructed,
     format_convex_generator,
     gromov_upper,
@@ -220,8 +222,6 @@ def _cmd_capacity(args):
             raise ValueError("need 0 <= k <= kmax")
         results = capacity_series(args.kmax)[start:]
     else:
-        if args.k < 0:
-            raise ValueError("capacity index must be nonnegative")
         results = [capacity(args.k)]
     rows = [{"k": result.k, "value": result.value,
              "witness": format_path(result.witness)} for result in results]
@@ -239,8 +239,6 @@ def _cmd_weyl(args):
 
 def _cmd_cap_toric(args):
     domain = parse_domain(args.domain)
-    if args.k < 0:
-        raise ValueError("capacity index must be nonnegative")
     _within_reach("k", args.k, K_LIMIT)
     value, witness = toric_capacity_detail(domain, args.k)
     row = {"domain": domain.describe(), "k": args.k, "value": value,
@@ -249,8 +247,6 @@ def _cmd_cap_toric(args):
 
 
 def _cmd_gromov(args):
-    if args.kmax < 0:
-        raise ValueError("kmax must be nonnegative")
     _within_reach("kmax", args.kmax, GROMOV_KMAX_LIMIT)
     report = gromov_upper(args.kmax)
     rows = []
@@ -272,6 +268,8 @@ def _cmd_gromov(args):
 def _cmd_obstruct(args):
     domain = parse_domain(args.domain)
     path = parse_path(args.lambda_prime)
+    _within_reach("items", pair_count(path) + len(path.groups),
+                  OBSTRUCT_ITEMS_LIMIT)
     result = embedding_obstructed(domain, path)
     row = {"domain": domain.describe(), "generator": format_path(path),
            "obstructed": result}

@@ -46,44 +46,24 @@ from math import gcd
 from .paths import EdgeGroup, KLatticePath, format_path, lower_hull, validate
 
 
-class Chain:
-    """Formal GF(2) sum of paths; addition is symmetric difference.
+class Chain(frozenset):
+    """Formal GF(2) sum of paths, a frozenset of them; addition is symmetric
+    difference.
 
     Iteration visits the terms in no set order; ``terms()`` and ``str`` list
     them sorted by spec.
     """
 
-    __slots__ = ("_paths",)
-
-    def __init__(self, paths=()):
-        self._paths = frozenset(paths)
+    __slots__ = ()
 
     def __add__(self, other: "Chain") -> "Chain":
-        return Chain(self._paths ^ other._paths)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Chain) and self._paths == other._paths
-
-    def __hash__(self) -> int:
-        return hash(self._paths)
-
-    def __len__(self) -> int:
-        return len(self._paths)
-
-    def __bool__(self) -> bool:
-        return bool(self._paths)
-
-    def __iter__(self):
-        return iter(self._paths)
-
-    def __contains__(self, path: KLatticePath) -> bool:
-        return path in self._paths
+        return Chain(self ^ other)
 
     def terms(self):
-        return sorted(self._paths, key=format_path)
+        return sorted(self, key=format_path)
 
     def __str__(self) -> str:
-        if not self._paths:
+        if not self:
             return "(zero chain)"
         return " + ".join(format_path(p) for p in self.terms())
 

@@ -44,7 +44,7 @@ def d_squared_report(max_action: float):
     for path in sl.all_generators():
         survivors = frozenset()
         for term in delta(path):
-            survivors ^= frozenset(delta(term))
+            survivors ^= delta(term)
         if survivors:
             violations.append((
                 format_path(path),
@@ -115,32 +115,26 @@ def betti_numbers(max_degree: int, max_action: float):
     return counts
 
 
-def stabilized_betti(k: int, max_bound: float = 32.0):
+def stabilized_betti(k: int):
     """Double the action bound from 4 until the dimension stops moving.
 
     Convergence requires the value to survive two consecutive doublings
     (a single agreement can be a finite-size coincidence).  Returns
     (stable value, first action bound of the plateau).  Raises
-    RuntimeError when the configured bound is exhausted first.  One barcode
-    at the largest bound the doublings reach answers every bound b: betti
+    RuntimeError when no bound up to 32 starts a plateau.  One barcode at
+    128, the largest bound the doublings reach, answers every bound b: betti
     at b counts the degree-k bars with birth <= b < death, with the scan's
     tolerance.
     """
-    ladder = []
-    bound = 4.0
-    while bound <= max_bound + TOL:
-        ladder.append(bound)
-        bound *= 2
-    if ladder:
-        bars = [(birth, death) for degree, birth, death
-                in barcode(k, 4 * ladder[-1]) if degree == k]
+    bars = [(birth, death) for degree, birth, death in barcode(k, 128.0)
+            if degree == k]
 
     def at(bound):
         return sum(1 for birth, death in bars if birth <= bound + TOL < death)
 
-    for bound in ladder:
+    for bound in (4.0, 8.0, 16.0, 32.0):
         value = at(bound)
         if at(2 * bound) == value and at(4 * bound) == value:
             return (value, bound)
     raise RuntimeError(
-        "betti(%d) did not stabilize within action bound %g" % (k, max_bound))
+        "betti(%d) did not stabilize within action bound 32" % k)

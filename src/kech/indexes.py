@@ -146,7 +146,7 @@ def j0_index(gen, side: str) -> int:
     raise ValueError("side must be 'kpath' or 'convex'")
 
 
-def partitions(kind: str, theta, m: int, sign: str = "+", tol: float = TOL) -> tuple:
+def partitions(kind: str, theta, m: int, sign: str = "+") -> tuple:
     """Multiplicity partition attached to an orbit end.
 
     Positive hyperbolic: all ones.  Negative hyperbolic: twos with a trailing
@@ -165,14 +165,14 @@ def partitions(kind: str, theta, m: int, sign: str = "+", tol: float = TOL) -> t
 
     theta = float(theta)
     for d in range(1, m + 1):
-        if abs(d * theta - round(d * theta)) <= tol:
+        if abs(d * theta - round(d * theta)) <= TOL:
             raise ValueError(
                 f"theta={theta} is rational to tolerance (denominator {d} <= {m})"
             )
-    if sign in ("+", "+1", 1):
+    if sign == "+":
         # the upper hull, mirrored in the x axis; only x steps are read
         hull = lower_hull([(i, -math.floor(i * theta)) for i in range(m + 1)])
-    elif sign in ("-", "-1", -1):
+    elif sign == "-":
         hull = lower_hull([(i, math.ceil(i * theta)) for i in range(m + 1)])
     else:
         raise ValueError("sign must be '+' or '-'")

@@ -9,6 +9,7 @@ import kech.homology
 import kech.spectrum
 import kech.toric
 from kech.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from kech.paths import pair_count, parse_path
 from kech.spectrum import KMAX_LIMIT
 
 
@@ -228,6 +229,57 @@ def test_out_of_reach_gromov_kmax_fails_fast(capsys, monkeypatch):
     assert code == EXIT_INPUT
     assert out == ""
     assert "out of reach" in err and str(kech.toric.GROMOV_KMAX_LIMIT) in err
+
+
+# the symmetric obstruct family at 14 and 15 atoms (pairs plus classes)
+OBSTRUCT_AT_LIMIT = ("H-;e(0,-1);e(1,-3);e(1,-2);e(1,-1);e(2,-1);e(3,-1);e(1,0);"
+                     "e(3,1);e(2,1);e(1,1);e(1,2);e(1,3);e(0,1)^2")
+OBSTRUCT_PAST_LIMIT = ("e(0,-1);e(1,-4);e(1,-3);e(1,-2);e(1,-1);e(2,-1);e(3,-1);"
+                       "e(1,0)^2;e(3,1);e(2,1);e(1,1);e(1,2);e(1,3);e(1,4);e(0,1)")
+
+
+def items(spec):
+    path = parse_path(spec)
+    return pair_count(path) + len(path.groups)
+
+
+def test_out_of_reach_obstruct_items_fails_fast(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the obstruction search ran")
+
+    monkeypatch.setattr(kech.toric, "factorizations", refuse)
+    monkeypatch.setattr(kech.toric, "admissible_min_action", refuse)
+    limit = kech.toric.OBSTRUCT_ITEMS_LIMIT
+    assert items(OBSTRUCT_PAST_LIMIT) == limit + 1
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "obstruct", "--domain", "ball:3",
+                         "--lambda-prime", OBSTRUCT_PAST_LIMIT)
+    assert time.monotonic() - t0 < 1.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "out of reach" in err and "items %d" % limit in err
+
+
+def test_obstruct_items_at_the_limit_are_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(kech.cli, "embedding_obstructed",
+                        lambda domain, path: True)
+    assert items(OBSTRUCT_AT_LIMIT) == kech.toric.OBSTRUCT_ITEMS_LIMIT
+    code, out, err = run(capsys, "--format", "csv", "obstruct", "--domain",
+                         "ball:3", "--lambda-prime", OBSTRUCT_AT_LIMIT)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[-1].endswith(",true")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("cap-toric", "--domain", "ball:1", "--k", "-1"),
+     "capacity index must be nonnegative"),
+    (("gromov", "--kmax", "-1"), "kmax must be nonnegative"),
+])
+def test_negative_index_exits_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("command, limit", [

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -11,7 +12,8 @@ from _naive import (
     naive_min_action_search,
     rasterize_convex_count,
 )
-from kech.paths import EdgeGroup, build_path, format_path, parse_path
+from kech.census import generators_up_to_action
+from kech.paths import EdgeGroup, build_path, format_path, parse_path, validate
 from kech.toric import (
     EMPTY_CONVEX,
     CgClass,
@@ -265,6 +267,41 @@ def test_factorizations_input_contract():
 def test_ladder_factorization_is_trivial_only():
     for k in range(4):
         assert len(factorizations(ladder(k))) == 1
+
+
+def test_factorizations_match_oracle_on_action_9_slice():
+    checked = 0
+    for path in generators_up_to_action(9.0).all_generators():
+        if any(g.h_flag for g in path.groups) or validate(path) == "IV":
+            continue
+        checked += 1
+        rows = [[format_path(block) for block in part]
+                for part in factorizations(path)]
+        assert len(set(map(tuple, rows))) == len(rows), format_path(path)
+        assert rows == sorted(rows, key=lambda row: (len(row), row))
+        assert {tuple(row) for row in rows} == naive_factor_splits(path)
+    assert checked == 936
+
+
+# Partition counts and sha256 of the rows (block specs tab-joined, one line
+# per partition) as the whole-partition enumeration returned them.
+LARGE_FACTORIZATIONS = {
+    "e(0,-1);e(1,-3);e(1,-2);e(1,-1);e(2,-1);e(1,0)^2;e(2,1);e(1,1);e(1,2);"
+    "e(1,3);e(0,1)": (
+        596, "787f66feb24002b55ef99e292736a206a8a0d7106d8adf2032e0ad71c8c0a296"),
+    "H-;e(0,-1)^3;e(1,-3);e(1,-2);e(1,-1);e(2,-1);e(1,0);e(2,1);e(1,1);"
+    "e(1,2);e(1,3);e(0,1)^4": (
+        470, "c9643d5f4fab6dcab4590050e2f580217c2bf886aac4a0e7563fa1bc75df75b9"),
+}
+
+
+def test_factorizations_frozen_at_11_and_12_atoms():
+    for spec, (count, digest) in LARGE_FACTORIZATIONS.items():
+        parts = factorizations(parse_path(spec))
+        rows = "".join("\t".join(format_path(b) for b in part) + "\n"
+                       for part in parts)
+        assert len(parts) == count, spec
+        assert hashlib.sha256(rows.encode()).hexdigest() == digest, spec
 
 
 # ---------------------------------------------------------------------------
