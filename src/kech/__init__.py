@@ -6,7 +6,12 @@ half-arrow pair moves, action-filtered homology and the resulting capacity
 spectrum, plus the convex-toric-domain embedding obstruction pipeline.
 """
 
-from .census import ComplexSlice, generators_of_grading, generators_up_to_action
+from .census import (
+    ComplexSlice,
+    generators_of_grading,
+    generators_up_to_action,
+    grading_slice,
+)
 from .diff import Chain, c_op, d_op, differential, round_interior
 from .homology import (
     barcode,

@@ -24,17 +24,23 @@ from itertools import combinations
 from math import sqrt
 from typing import NamedTuple
 
-from .paths import TOL, EdgeGroup, build_path, format_path
+from .paths import TOL, EdgeGroup, KLatticePath, format_path
 
 #: Largest action bound the command line accepts for enumerate.  The whole
 #: slice ends within a minute up to here on a 2-core Xeon with Python 3.11:
-#: 38 s and 913 MiB peak RSS at 15 (19 s at 14, 7.7 s at 13), its time and
-#: memory growing about 2.5-fold per unit of action.
-ENUMERATE_ACTION_LIMIT = 15
+#: 41 s and 1041 MiB peak RSS at 16 (17 s and 486 MiB at 15, 8.7 s at 14,
+#: 4.0 s at 13), its time and memory growing about 2.2-fold per unit of
+#: action.
+ENUMERATE_ACTION_LIMIT = 16
 
 
 class ComplexSlice(NamedTuple):
-    """All valid generators with action <= action_bound, grouped by grading."""
+    """All valid generators with action <= action_bound, grouped by grading.
+
+    per_degree[k] maps the spec (``format_path``) of each generator of
+    grading k to the path, in spec order; specs(k) and generators(k) read
+    its keys and its paths in that order.
+    """
 
     action_bound: float
     per_degree: dict
@@ -43,11 +49,14 @@ class ComplexSlice(NamedTuple):
         return sorted(self.per_degree)
 
     def generators(self, degree: int):
-        return self.per_degree.get(degree, ())
+        return tuple(self.per_degree.get(degree, {}).values())
+
+    def specs(self, degree: int):
+        return tuple(self.per_degree.get(degree, ()))
 
     def all_generators(self):
         for k in self.degrees():
-            yield from self.per_degree[k]
+            yield from self.per_degree[k].values()
 
     def count(self) -> int:
         return sum(len(v) for v in self.per_degree.values())
@@ -89,22 +98,12 @@ def _skips(norms2):
     return skip
 
 
-def build_generator(sp, ep, m, n, chosen, marked):
-    """Assemble a path from raw scan data (marked = h-flagged class indexes)."""
-    groups = [
-        EdgeGroup(q, p, t - 1, True) if i in marked else EdgeGroup(q, p, t, False)
-        for i, (q, p, t) in enumerate(chosen)
-    ]
-    return build_path(sp == 1, ep == 1, m, n, groups)
-
-
 def scan_generators(max_action: float, emit, max_grading=None):
     """Core DFS over valid generators within the bounds.
 
     Calls emit(sp, ep, m, n, chosen, marked, grading, total_action) for every
     generator; chosen is the non-vertical class list [(q, p, mult)...] and
-    marked the set of h-flagged positions.  Callers build paths on demand via
-    build_generator.
+    marked the set of h-flagged positions.
     """
     if max_action < 0:
         return
@@ -169,27 +168,57 @@ def scan_generators(max_action: float, emit, max_grading=None):
                 rec(sp, ep, 0, [], float(sp + ep), 0, 0, 0, 0)
 
 
-def generators_up_to_action(max_action: float, max_grading=None) -> ComplexSlice:
-    """Complete canonical slice of the complex below an action bound."""
+def _collect(max_action: float, max_grading, only=None) -> ComplexSlice:
+    """Slice of the scanned generators, of grading `only` alone if given.
+
+    Each distinct group value is built and formatted once per call and shared
+    by every path that holds it; a path's spec joins its groups' item texts.
+    """
+    shared = {}  # (q, p, mult, h) -> (EdgeGroup, its item text)
+
+    def entry(q, p, t, h):
+        key = (q, p, t, h)
+        found = shared.get(key)
+        if found is None:
+            group = EdgeGroup(q, p, t - 1, True) if h else EdgeGroup(q, p, t, False)
+            found = shared[key] = (group, format_path(KLatticePath(False, False, (group,))))
+        return found
+
     per_degree = {}
 
     def emit(sp, ep, m, n, chosen, marked, deg, total):
+        if only is not None and deg != only:
+            return
+        entries = [entry(q, p, t, i in marked) for i, (q, p, t) in enumerate(chosen)]
+        if m:
+            entries.insert(0, entry(0, -1, m, False))
+        if n:
+            entries.append(entry(0, 1, n, False))
+        groups, texts = zip(*entries) if entries else ((), ())
+        spec = ";".join(("H-",) * sp + texts + ("H+",) * ep) or "0"
         per_degree.setdefault(deg, []).append(
-            build_generator(sp, ep, m, n, chosen, marked))
+            (spec, KLatticePath(sp == 1, ep == 1, groups)))
 
     scan_generators(max_action, emit, max_grading)
-    for k in per_degree:
-        per_degree[k] = tuple(sorted(per_degree[k], key=format_path))
+    # specs are unique, so the sort never compares two paths; the lists are
+    # replaced in place, as the scan's closures keep per_degree until the
+    # next garbage collection
+    for k, rows in per_degree.items():
+        rows.sort()
+        per_degree[k] = dict(rows)
     return ComplexSlice(float(max_action), per_degree)
+
+
+def generators_up_to_action(max_action: float, max_grading=None) -> ComplexSlice:
+    """Complete canonical slice of the complex below an action bound."""
+    return _collect(max_action, max_grading)
+
+
+def grading_slice(k: int, max_action: float) -> ComplexSlice:
+    """The slice of one grading within the action bound, from the capped scan."""
+    return _collect(max_action, k, only=k)
 
 
 def generators_of_grading(k: int, max_action: float) -> tuple:
     """All generators of one grading within the action bound."""
-    paths = []
-
-    def emit(sp, ep, m, n, chosen, marked, deg, total):
-        if deg == k:
-            paths.append(build_generator(sp, ep, m, n, chosen, marked))
-
-    scan_generators(max_action, emit, max_grading=k)
-    return tuple(sorted(paths, key=format_path))
+    return grading_slice(k, max_action).generators(k)

@@ -15,8 +15,8 @@ import sys
 
 from .census import (
     ENUMERATE_ACTION_LIMIT,
-    generators_of_grading,
     generators_up_to_action,
+    grading_slice,
 )
 from .diff import differential
 from .homology import (
@@ -176,11 +176,11 @@ def _cmd_enumerate(args):
     _within_reach("max-action", max_action, ENUMERATE_ACTION_LIMIT)
     if args.grading is None:
         sl = generators_up_to_action(max_action)
-        slices = [(degree, sl.generators(degree)) for degree in sl.degrees()]
     else:
-        slices = [(args.grading, generators_of_grading(args.grading, max_action))]
-    rows = [{"spec": format_path(path), "grading": degree, "action": action(path)}
-            for degree, paths in slices for path in paths]
+        sl = grading_slice(args.grading, max_action)
+    rows = [{"spec": spec, "grading": degree, "action": action(path)}
+            for degree in sl.degrees()
+            for spec, path in sl.per_degree[degree].items()]
     return (("spec", "grading", "action"), rows, EXIT_OK)
 
 

@@ -10,8 +10,9 @@ from .paths import TOL, action, format_path
 
 #: Largest action bound the command line accepts for d2check.
 #: d_squared_report ends within a minute up to here on a 2-core Xeon with
-#: Python 3.11: 39 s and 654 MiB peak RSS at 14 (17 s at 13), its time
-#: growing about 2.4-fold per unit of action.
+#: Python 3.11: 23 s and 530 MiB peak RSS at 14 (9.7 s and 234 MiB at 13),
+#: its time growing about 2.4-fold per unit of action, so close to a minute
+#: at 15 (not run).
 D2CHECK_ACTION_LIMIT = 14
 
 #: Largest degree bound the command line accepts for homology.  The grading

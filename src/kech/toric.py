@@ -349,12 +349,14 @@ GROMOV_KMAX_LIMIT = 1000
 
 #: Largest atom count (half-arrow pairs plus orbit classes) the command line
 #: accepts for obstruct.  The time grows with the number of factorizations,
-#: about Bell(n) at worst.  On the symmetric family (walls, sloped classes
-#: (1,-j) and (j,-1) below the axis and their mirror images above, e(1,0)^2
-#: or a pair and e(1,0) for parity) in ball:3, where every factorization is
+#: about Bell(n) at worst, and with the distinct (grading, bound) searches
+#: their blocks ask.  On the symmetric family (walls, sloped classes (1,-j)
+#: and (j,-1) below the axis and their mirror images above, e(1,0)^2 or a
+#: pair and e(1,0) for parity) in ball:3, where every factorization is
 #: infeasible and all are tried, one run each on a 2-core Xeon with Python
-#: 3.11 takes 0.46 s at 11 atoms, 5.8 s at 13, 8.3 to 17 s at 14 and 75 s
-#: at 15 (ball:1 stops at the first feasible one: 0.22, 1.0, 1.7, 5.6 s).
+#: 3.11 takes 2.0 s at 13 atoms, 3.2 s at 14 and 22 s at 15; a 15-atom
+#: variant with a pair and a longer descent takes 34 s, 31 of them in its 515
+#: searches (ball:1 stops at the first feasible one: 0.7, 1.7, 6.2 s).
 OBSTRUCT_ITEMS_LIMIT = 14
 
 
@@ -610,12 +612,14 @@ def embedding_obstructed(domain: ToricDomain, path: KLatticePath) -> bool:
     """True when no factorization admits a compatible convex generator for
     every factor: each factor needs one of equal grading, no larger action,
     and enough boundary lattice points."""
+    least = {}  # (grading, bound) -> least admissible action, searched once
     for part in factorizations(path):
         feasible = True
         for block in part:
-            bound = pair_count(block) + toric_multiplicity(block) - 1
-            value, _ = admissible_min_action(domain, grading(block), bound)
-            if value > action(block) + TOL:
+            key = (grading(block), pair_count(block) + toric_multiplicity(block) - 1)
+            if key not in least:
+                least[key] = admissible_min_action(domain, *key)[0]
+            if least[key] > action(block) + TOL:
                 feasible = False
                 break
         if feasible:

@@ -10,6 +10,7 @@ from kech.census import (
     _skips,
     generators_of_grading,
     generators_up_to_action,
+    grading_slice,
     scan_generators,
 )
 from kech.diff import differential
@@ -71,6 +72,20 @@ def test_slice_specs_sorted_and_unique():
         specs = [format_path(p) for p in sl.generators(k)]
         assert specs == sorted(specs)
         assert len(specs) == len(set(specs))
+
+
+def test_slice_shares_groups_and_keeps_each_spec():
+    sl = generators_up_to_action(10.0)
+    groups = [g for p in sl.all_generators() for g in p.groups]
+    assert len({id(g) for g in groups}) == len(set(groups)) < len(groups)
+    for k in sl.degrees():
+        specs = sl.specs(k)
+        assert list(specs) == [format_path(p) for p in sl.generators(k)]
+        assert all(a < b for a, b in zip(specs, specs[1:])), k
+    for k in (0, 2, 5, 10, 20):
+        one = grading_slice(k, 10.0)
+        assert one.degrees() == [k]
+        assert one.specs(k) == sl.specs(k) and one.generators(k) == sl.generators(k)
 
 
 def test_grading_capped_scan_is_a_prefix():

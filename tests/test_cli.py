@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -111,6 +112,23 @@ def test_enumerate_grading_rows_are_the_full_rows_of_that_grading(capsys):
         assert code == EXIT_OK
         assert got.splitlines() == [header] + [
             line for line, h in zip(lines, gradings) if h == str(g)], g
+
+
+# sha256 of the csv bytes, frozen from the implementation that formatted each
+# path once to sort its degree and once more for its row
+ENUMERATE_CSV_DIGESTS = {
+    (): "29509d167c98fe0f9769c7e03f1cda9e70a39f0c3d86d525a4226909f9eef11e",
+    ("--grading", "5"):
+        "2caece0852c818f0731421e06836e9515f7b236aa318b8437a4527d3eba75067",
+}
+
+
+@pytest.mark.parametrize("extra", ENUMERATE_CSV_DIGESTS)
+def test_enumerate_csv_golden(capsys, extra):
+    code, out, _ = run(capsys, "--format", "csv", "enumerate", "--max-action", "9",
+                       *extra)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_CSV_DIGESTS[extra]
 
 
 def test_enumerate_grading_never_builds_an_uncapped_slice(capsys, monkeypatch):

@@ -637,6 +637,39 @@ def test_embedding_obstruction_threshold_tracks_bound():
     assert not embedding_obstructed(ToricDomain.ball(bound - 0.01), ladder(k))
 
 
+SYMMETRIC_13 = ("e(0,-1);e(1,-3);e(1,-2);e(1,-1);e(2,-1);e(3,-1);e(1,0)^2;"
+                "e(3,1);e(2,1);e(1,1);e(1,2);e(1,3);e(0,1)")
+# answers of the search-per-block obstruction on the large factorization inputs
+OBSTRUCTED = {
+    "ball:1": (False, False),
+    "ball:2.5": (False, True),
+    "ball:3": (True, True),
+    "ellipsoid:2,3": (True, False),
+}
+
+
+def test_embedding_obstruction_searches_each_grading_and_bound_once(monkeypatch):
+    asked = []
+    search = kech.toric.admissible_min_action
+
+    def counted(domain, i_target, xy_bound):
+        asked.append((i_target, xy_bound))
+        return search(domain, i_target, xy_bound)
+
+    monkeypatch.setattr(kech.toric, "admissible_min_action", counted)
+    for domain, answers in OBSTRUCTED.items():
+        for spec, expect in zip(LARGE_FACTORIZATIONS, answers):
+            asked.clear()
+            assert embedding_obstructed(parse_domain(domain),
+                                        parse_path(spec)) == expect, domain
+            assert asked and len(asked) == len(set(asked)), domain
+    # all 5,341 factorizations are infeasible and tried: 6,054 block searches
+    # ask only 168 distinct (grading, bound) pairs
+    asked.clear()
+    assert embedding_obstructed(ToricDomain.ball(3.0), parse_path(SYMMETRIC_13))
+    assert len(asked) == len(set(asked)) == 168
+
+
 def test_gromov_upper_records():
     report = gromov_upper(40)
     assert len(report.records) == 41
