@@ -28,9 +28,10 @@ from .paths import TOL, EdgeGroup, KLatticePath, format_path
 
 #: Largest action bound the command line accepts for enumerate.  The whole
 #: slice ends within a minute up to here on a 2-core Xeon with Python 3.11:
-#: 41 s and 1041 MiB peak RSS at 16 (17 s and 486 MiB at 15, 8.7 s at 14,
-#: 4.0 s at 13), its time and memory growing about 2.2-fold per unit of
-#: action.
+#: as csv 34 s and 594 MiB peak RSS at 16 (14 s and 278 MiB at 15), as a
+#: table 48 s and 1072 MiB at 16 (22 s and 500 MiB at 15, 9.8 s and 234 MiB
+#: at 14, 3.2 s and 111 MiB at 13), its time and memory growing about
+#: 2.2-fold per unit of action.
 ENUMERATE_ACTION_LIMIT = 16
 
 
@@ -166,6 +167,9 @@ def scan_generators(max_action: float, emit, max_grading=None):
         for ep in (0, 1):
             if sp + ep <= budget:
                 rec(sp, ep, 0, [], float(sp + ep), 0, 0, 0, 0)
+    # rec calls itself through its closure; unlinking it frees rec, close and
+    # the caller's emit now rather than at the next cyclic garbage collection
+    del rec, close
 
 
 def _collect(max_action: float, max_grading, only=None) -> ComplexSlice:
@@ -196,16 +200,13 @@ def _collect(max_action: float, max_grading, only=None) -> ComplexSlice:
             entries.append(entry(0, 1, n, False))
         groups, texts = zip(*entries) if entries else ((), ())
         spec = ";".join(("H-",) * sp + texts + ("H+",) * ep) or "0"
-        per_degree.setdefault(deg, []).append(
-            (spec, KLatticePath(sp == 1, ep == 1, groups)))
+        per_degree.setdefault(deg, {})[spec] = KLatticePath(sp == 1, ep == 1, groups)
 
     scan_generators(max_action, emit, max_grading)
-    # specs are unique, so the sort never compares two paths; the lists are
-    # replaced in place, as the scan's closures keep per_degree until the
-    # next garbage collection
-    for k, rows in per_degree.items():
-        rows.sort()
-        per_degree[k] = dict(rows)
+    # rebuilt in spec order one degree at a time, so at most one degree is
+    # held twice
+    for k, paths in per_degree.items():
+        per_degree[k] = {spec: paths[spec] for spec in sorted(paths)}
     return ComplexSlice(float(max_action), per_degree)
 
 

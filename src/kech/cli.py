@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -26,7 +27,6 @@ from .homology import (
     d_squared_report,
 )
 from .paths import (
-    PathError,
     action,
     format_path,
     grading,
@@ -128,7 +128,8 @@ def _build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (columns, rows, exit_code)
+# Handlers: each returns (columns, rows, exit_code); a row is a tuple of
+# cells in column order
 
 
 def _class_cell(path) -> str:
@@ -139,28 +140,21 @@ def _class_cell(path) -> str:
 def _cmd_validate(args):
     path = parse_path(args.spec)
     kind = validate(path)
-    return (("spec", "type"), [{"spec": format_path(path), "type": kind}], EXIT_OK)
+    return (("spec", "type"), [(format_path(path), kind)], EXIT_OK)
 
 
 def _cmd_grade(args):
     path = parse_path(args.spec)
     kind = validate(path)
-    row = {
-        "spec": format_path(path),
-        "type": kind,
-        "grading": grading(path),
-        "grading_lattice": grading_lattice(path),
-        "action": action(path),
-        "class": _class_cell(path),
-    }
+    row = (format_path(path), kind, grading(path), grading_lattice(path),
+           action(path), _class_cell(path))
     return (("spec", "type", "grading", "grading_lattice", "action", "class"),
             [row], EXIT_OK)
 
 
 def _cmd_diff(args):
     path = parse_path(args.spec)
-    rows = [{"spec": format_path(term), "grading": grading(term),
-             "action": action(term)}
+    rows = [(format_path(term), grading(term), action(term))
             for term in differential(path).terms()]
     return (("spec", "grading", "action"), rows, EXIT_OK)
 
@@ -178,9 +172,8 @@ def _cmd_enumerate(args):
         sl = generators_up_to_action(max_action)
     else:
         sl = grading_slice(args.grading, max_action)
-    rows = [{"spec": spec, "grading": degree, "action": action(path)}
-            for degree in sl.degrees()
-            for spec, path in sl.per_degree[degree].items()]
+    rows = ((spec, degree, action(path)) for degree in sl.degrees()
+            for spec, path in sl.per_degree[degree].items())
     return (("spec", "grading", "action"), rows, EXIT_OK)
 
 
@@ -188,8 +181,7 @@ def _cmd_d2check(args):
     max_action = _action_bound(args)
     _within_reach("max-action", max_action, D2CHECK_ACTION_LIMIT)
     violations = d_squared_report(max_action)
-    rows = [{"spec": spec, "survivor": surv}
-            for spec, survivors in violations for surv in survivors]
+    rows = [(spec, surv) for spec, survivors in violations for surv in survivors]
     return (("spec", "survivor"), rows,
             EXIT_OK if not rows else EXIT_INTERNAL)
 
@@ -199,8 +191,7 @@ def _cmd_homology(args):
     if args.max_degree < 0:
         raise ValueError("degree bound must be nonnegative")
     _within_reach("max-degree", args.max_degree, HOMOLOGY_DEGREE_LIMIT)
-    rows = [{"degree": k, "betti": b}
-            for k, b in enumerate(betti_numbers(args.max_degree, max_action))]
+    rows = list(enumerate(betti_numbers(args.max_degree, max_action)))
     return (("degree", "betti"), rows, EXIT_OK)
 
 
@@ -223,8 +214,8 @@ def _cmd_capacity(args):
         results = capacity_series(args.kmax)[start:]
     else:
         results = [capacity(args.k)]
-    rows = [{"k": result.k, "value": result.value,
-             "witness": format_path(result.witness)} for result in results]
+    rows = [(result.k, result.value, format_path(result.witness))
+            for result in results]
     return (("k", "value", "witness"), rows, EXIT_OK)
 
 
@@ -232,8 +223,7 @@ def _cmd_weyl(args):
     if args.kmax < 1:
         raise ValueError("kmax must be >= 1")
     _within_reach("kmax", args.kmax, KMAX_LIMIT)
-    rows = [{"k": k, "value": value, "ratio": ratio}
-            for k, value, ratio in weyl_series(args.kmax)]
+    rows = weyl_series(args.kmax)
     return (("k", "value", "ratio"), rows, EXIT_OK)
 
 
@@ -241,26 +231,17 @@ def _cmd_cap_toric(args):
     domain = parse_domain(args.domain)
     _within_reach("k", args.k, K_LIMIT)
     value, witness = toric_capacity_detail(domain, args.k)
-    row = {"domain": domain.describe(), "k": args.k, "value": value,
-           "witness": format_convex_generator(witness)}
+    row = (domain.describe(), args.k, value, format_convex_generator(witness))
     return (("domain", "k", "value", "witness"), [row], EXIT_OK)
 
 
 def _cmd_gromov(args):
     _within_reach("kmax", args.kmax, GROMOV_KMAX_LIMIT)
     report = gromov_upper(args.kmax)
-    rows = []
-    for record, running in zip(report.records, report.running_inf):
-        rows.append({
-            "k": record.k,
-            "generator": record.generator_spec,
-            "rhs_action": record.rhs_action,
-            "min_lhs_action": record.min_lhs_action,
-            "witness": record.witness_spec,
-            "bound": record.bound,
-            "flat_candidate_bound": record.flat_candidate_bound,
-            "running_inf": running,
-        })
+    rows = [(record.k, record.generator_spec, record.rhs_action,
+             record.min_lhs_action, record.witness_spec, record.bound,
+             record.flat_candidate_bound, running)
+            for record, running in zip(report.records, report.running_inf)]
     return (("k", "generator", "rhs_action", "min_lhs_action", "witness",
              "bound", "flat_candidate_bound", "running_inf"), rows, EXIT_OK)
 
@@ -271,8 +252,7 @@ def _cmd_obstruct(args):
     _within_reach("items", pair_count(path) + len(path.groups),
                   OBSTRUCT_ITEMS_LIMIT)
     result = embedding_obstructed(domain, path)
-    row = {"domain": domain.describe(), "generator": format_path(path),
-           "obstructed": result}
+    row = (domain.describe(), format_path(path), result)
     return (("domain", "generator", "obstructed"), [row], EXIT_OK)
 
 
@@ -290,26 +270,42 @@ def _cell(value) -> str:
     return str(value)
 
 
+#: Characters collected before each write to out: csv and table output reach
+#: it in blocks of about 64 KiB, not a write per row.
+_BLOCK = 1 << 16
+
+
 def _emit(output_format: str, command: str, columns, rows, out) -> None:
     if output_format == "json":
         payload = {"schema": _SCHEMA, "command": command,
-                   "columns": list(columns), "rows": rows}
+                   "columns": list(columns),
+                   "rows": [dict(zip(columns, row)) for row in rows]}
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return
+    buf = io.StringIO()
     if output_format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
-        return
-    cells = [[_cell(row[c]) for c in columns] for row in rows]
-    widths = [max(len(str(c)), *(len(r[i]) for r in cells)) if cells else len(str(c))
-              for i, c in enumerate(columns)]
-    header = "  ".join(str(c).ljust(w) for c, w in zip(columns, widths))
-    out.write(header.rstrip() + "\n")
-    out.write("  ".join("-" * w for w in widths).rstrip() + "\n")
-    for r in cells:
-        out.write("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
+
+        def write_row(row):
+            writer.writerow(map(_cell, row))
+    else:
+        rows = [[_cell(v) for v in row] for row in rows]
+        widths = [max(len(c), *(len(r[i]) for r in rows)) if rows else len(c)
+                  for i, c in enumerate(columns)]
+
+        def write_row(cells):
+            buf.write("  ".join(v.ljust(w) for v, w in zip(cells, widths)).rstrip()
+                      + "\n")
+        write_row(columns)
+        write_row(["-" * w for w in widths])
+    for row in rows:
+        write_row(row)
+        if buf.tell() >= _BLOCK:
+            out.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+    out.write(buf.getvalue())
 
 
 def _unknown_global_flag(argv):
@@ -339,9 +335,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return EXIT_USAGE
-    except PathError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -10,9 +10,9 @@ from .paths import TOL, action, format_path
 
 #: Largest action bound the command line accepts for d2check.
 #: d_squared_report ends within a minute up to here on a 2-core Xeon with
-#: Python 3.11: 23 s and 530 MiB peak RSS at 14 (9.7 s and 234 MiB at 13),
-#: its time growing about 2.4-fold per unit of action, so close to a minute
-#: at 15 (not run).
+#: Python 3.11: 26 s and 176 MiB peak RSS at 14 (9.3 s and 89 MiB at 13,
+#: 2.7 s and 47 MiB at 12), its time growing about 2.8-fold per unit of
+#: action, so past a minute at 15 (not run).
 D2CHECK_ACTION_LIMIT = 14
 
 #: Largest degree bound the command line accepts for homology.  The grading
@@ -42,15 +42,20 @@ def d_squared_report(max_action: float):
         return chain
 
     violations = []
-    for path in sl.all_generators():
-        survivors = frozenset()
-        for term in delta(path):
-            survivors ^= delta(term)
-        if survivors:
-            violations.append((
-                format_path(path),
-                tuple(sorted(format_path(s) for s in survivors)),
-            ))
+    for k in sl.degrees():
+        for path in sl.generators(k):
+            survivors = frozenset()
+            for term in delta(path):
+                survivors ^= delta(term)
+            if survivors:
+                violations.append((
+                    format_path(path),
+                    tuple(sorted(format_path(s) for s in survivors)),
+                ))
+        # the differential lowers grading by exactly 1, so from grading k + 1
+        # on nothing reads the boundaries of grading k - 1 again
+        for path in sl.generators(k - 1):
+            memo.pop(path, None)
     return violations
 
 

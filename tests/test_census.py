@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 
@@ -86,6 +87,16 @@ def test_slice_shares_groups_and_keeps_each_spec():
         one = grading_slice(k, 10.0)
         assert one.degrees() == [k]
         assert one.specs(k) == sl.specs(k) and one.generators(k) == sl.generators(k)
+
+
+def test_scan_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        assert generators_up_to_action(3.0).count() == 17
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_grading_capped_scan_is_a_prefix():

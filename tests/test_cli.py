@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -129,6 +130,48 @@ def test_enumerate_csv_golden(capsys, extra):
                        *extra)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_CSV_DIGESTS[extra]
+
+
+# sha256 of table and json bytes, frozen from the renderer that built a dict
+# per row and wrote each row on its own
+RENDER_DIGESTS = {
+    ("table", "enumerate", "--max-action", "8"):
+        "97f7c08ce9eec623a553889999100d94020586290795fd131454db519568a7ae",
+    ("json", "enumerate", "--max-action", "8"):
+        "8558a5215971bd498a89d95fb5ecfd2b0fa8f25969865407adf6687620bf3e13",
+    ("table", "gromov", "--kmax", "5"):
+        "d6f2d39cb19bf065f8a2cfa3a4eadee41fc07727e7c8f4978f360e6b25c64c3b",
+}
+
+
+@pytest.mark.parametrize("argv", RENDER_DIGESTS)
+def test_render_golden(capsys, argv):
+    code, out, _ = run(capsys, "--format", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == RENDER_DIGESTS[argv]
+
+
+class _CountingStream:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("output_format", ["csv", "table"])
+def test_rows_reach_the_stream_in_blocks(monkeypatch, output_format):
+    stream = _CountingStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    code = main(["--format", output_format, "enumerate", "--max-action", "9"])
+    monkeypatch.undo()
+    assert code == EXIT_OK
+    data = "".join(stream.writes).encode()
+    if output_format == "csv":
+        assert hashlib.sha256(data).hexdigest() == ENUMERATE_CSV_DIGESTS[()]
+    assert data.count(b"\n") > 5000
+    assert len(stream.writes) <= len(data) // 65536 + 2
 
 
 def test_enumerate_grading_never_builds_an_uncapped_slice(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from _naive import BitMatrix, boundary_matrix, gf2_rank
 import kech.diff
+import kech.homology
 from kech.census import generators_up_to_action
 from kech.diff import differential
 from kech.homology import (
@@ -69,6 +70,22 @@ def test_d_squared_report_validates_each_path_once(monkeypatch):
     for path in generators_up_to_action(8.0).all_generators():
         assert path in seen
         assert all(term in seen for term in differential(path))
+
+
+def test_d_squared_report_computes_each_boundary_once(monkeypatch):
+    computed = []
+    real = kech.homology.differential
+
+    def counting(path, *args):
+        computed.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(kech.homology, "differential", counting)
+    assert d_squared_report(8.0) == []
+    monkeypatch.undo()
+    generators = list(generators_up_to_action(8.0).all_generators())
+    assert len(computed) == len(generators)
+    assert set(computed) == set(generators)
 
 
 def test_betti_small_slices():
