@@ -16,6 +16,22 @@ comes earlier in slope order, so their sum P has P x d >= 0 and P x R >= 0,
 and the t = 1 grading lower bound, which grows with P x d, is no smaller
 over the run than at d.  When d fails the action budget or that bound, the
 whole run fails too and the direction loop jumps past it.
+
+A generator of grading g has action A <= g + 2, so a scan capped at
+grading g stops at action g + 2.  Write D for the doubled area, H for the
+h count, t for a class's multiplicity and |v| for its length; the grading
+is D + m + n + sum(t) - H, so A - g = sp + ep + sum t(|v| - 1) + H - D over
+the non-vertical classes.  One copy of a non-vertical edge (q, p) at depths
+a, b below the axis adds q(a + b) to D.  As |a - b| = |p|, that is at least
+q|p|, and q|p| + 1 >= |v| since (q^2 - 1)(p^2 - 1) >= 0.  A copy that does
+not touch the axis has a, b >= 1, so a + b >= |p| + 2 and it adds at least
+|v| + 1.  The path is convex and below the axis, so unless it lies on the
+axis (no pair, H <= 1, D = 0: A - g = H) only the first copy of the first
+class, when there is no start pair or down wall, and the last copy of the
+last class, when there is no end pair or up wall, can touch it.  With N
+copies, T <= min(N, 2 - sp - ep) of them touching and H <= N,
+D >= sum t(|v| - 1) + 2(N - T) >= sum t(|v| - 1) + H + sp + ep - 2, which
+gives A <= g + 2.  Equality holds on H-;e(0,-1)^n;e(0,1)^n;H+.
 """
 
 from __future__ import annotations
@@ -24,14 +40,14 @@ from itertools import combinations
 from math import sqrt
 from typing import NamedTuple
 
-from .paths import TOL, EdgeGroup, KLatticePath, format_path
+from .paths import TOL, EdgeGroup, KLatticePath, format_items
 
 #: Largest action bound the command line accepts for enumerate.  The whole
 #: slice ends within a minute up to here on a 2-core Xeon with Python 3.11:
 #: as csv 34 s and 594 MiB peak RSS at 16 (14 s and 278 MiB at 15), as a
-#: table 48 s and 1072 MiB at 16 (22 s and 500 MiB at 15, 9.8 s and 234 MiB
-#: at 14, 3.2 s and 111 MiB at 13), its time and memory growing about
-#: 2.2-fold per unit of action.
+#: table 36 s and 794 MiB at 16 (18 s and 372 MiB at 15, 7.2 s and 175 MiB
+#: at 14, 2.8 s and 85 MiB at 13), its time and memory growing about 2.2-fold
+#: per unit of action.
 ENUMERATE_ACTION_LIMIT = 16
 
 
@@ -106,13 +122,12 @@ def scan_generators(max_action: float, emit, max_grading=None):
     generator; chosen is the non-vertical class list [(q, p, mult)...] and
     marked the set of h-flagged positions.
     """
+    if max_grading is not None:
+        # no generator of grading g has action above g + 2 (module docstring)
+        max_action = min(max_action, max_grading + 2)
     if max_action < 0:
         return
-    dir_cap = max_action
-    if max_grading is not None:
-        # a class (q,p) with p != 0 forces grading >= q|p| >= norm/sqrt(2)
-        dir_cap = min(dir_cap, 1.5 * max(max_grading, 1) + 1.5)
-    dirs = _directions(dir_cap)
+    dirs = _directions(max_action)
     norms2 = [q * q + p * p for q, p in dirs]
     norms = [sqrt(n2) for n2 in norms2]
     skip = _skips(norms2)
@@ -185,7 +200,7 @@ def _collect(max_action: float, max_grading, only=None) -> ComplexSlice:
         found = shared.get(key)
         if found is None:
             group = EdgeGroup(q, p, t - 1, True) if h else EdgeGroup(q, p, t, False)
-            found = shared[key] = (group, format_path(KLatticePath(False, False, (group,))))
+            found = shared[key] = (group, ";".join(format_items((group,))))
         return found
 
     per_degree = {}

@@ -290,12 +290,14 @@ def _emit(output_format: str, command: str, columns, rows, out) -> None:
         def write_row(row):
             writer.writerow(map(_cell, row))
     else:
-        rows = [[_cell(v) for v in row] for row in rows]
-        widths = [max(len(c), *(len(r[i]) for r in rows)) if rows else len(c)
-                  for i, c in enumerate(columns)]
+        # sized from the row tuples, so no row keeps a list of its cells
+        rows = list(rows)
+        widths = [len(c) for c in columns]
+        for row in rows:
+            widths = [max(w, len(_cell(v))) for w, v in zip(widths, row)]
 
-        def write_row(cells):
-            buf.write("  ".join(v.ljust(w) for v, w in zip(cells, widths)).rstrip()
+        def write_row(row):
+            buf.write("  ".join(_cell(v).ljust(w) for v, w in zip(row, widths)).rstrip()
                       + "\n")
         write_row(columns)
         write_row(["-" * w for w in widths])

@@ -15,11 +15,12 @@ from .paths import TOL, action, format_path
 #: action, so past a minute at 15 (not run).
 D2CHECK_ACTION_LIMIT = 14
 
-#: Largest degree bound the command line accepts for homology.  The grading
-#: cap bounds the scan, so its time levels off as the action grows.  At action
-#: 1e6 on a 2-core Xeon with Python 3.11, betti_numbers takes 41 s at degree
-#: 24, 54 s at 25 and 67 s at 26 (peak RSS 34, 39 and 45 MiB), nearly all
-#: of it in the scan (15.3 of 15.4 s at degree 20).
+#: Largest degree bound the command line accepts for homology.  The slice
+#: is capped at grading max_degree + 1, so its scan stops at action
+#: max_degree + 3 (see kech.census) whatever the action bound.  At action
+#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 2.3 s and 37 MiB
+#: peak RSS at degree 25 in a child process (0.7 s at degree 20), about
+#: 85% of it in the scan.
 HOMOLOGY_DEGREE_LIMIT = 25
 
 

@@ -18,6 +18,9 @@ from .paths import (
     TOL,
     KLatticePath,
     PathSemanticsError,
+    doubled_area,
+    elliptic_factor_count,
+    grading,
     h_count,
     lower_hull,
     pair_count,
@@ -49,13 +52,7 @@ def negative_hyperbolic_count(path: KLatticePath) -> int:
     return 2 * pair_count(path)
 
 
-def positive_hyperbolic_count(path: KLatticePath) -> int:
-    return h_count(path)
-
-
-def elliptic_factor_count(path: KLatticePath) -> int:
-    """Number of distinct elliptic orbit factors."""
-    return sum(1 for g in path.groups if g.e_mult >= 1)
+positive_hyperbolic_count = h_count
 
 
 def relative_chern(alpha: KLatticePath, beta: KLatticePath) -> int:
@@ -65,32 +62,9 @@ def relative_chern(alpha: KLatticePath, beta: KLatticePath) -> int:
     return (negative_hyperbolic_count(alpha) - negative_hyperbolic_count(beta)) // 2
 
 
-def _cross_sum(path: KLatticePath) -> int:
-    """Sum of pairwise cross products over slope-sorted arrow copies.
-
-    Half-arrow pairs contribute one unit vertical copy each.  For a valid path
-    this equals the doubled area between path and axis.
-    """
-    entries = []  # (q, p, copies), already in slope order: pair verticals are
-    # parallel to the adjacent vertical runs, so their placement is free
-    if path.start_pair:
-        entries.append((0, -1, 1))
-    for g in path.groups:
-        entries.append((g.q, g.p, g.mult))
-    if path.end_pair:
-        entries.append((0, 1, 1))
-    px = py = 0
-    total = 0
-    for q, p, t in entries:
-        total += (px * p - py * q) * t
-        px += q * t
-        py += p * t
-    return total
-
-
 def q_tau(path: KLatticePath) -> int:
     """Self-intersection term: doubled area plus one per half-arrow pair."""
-    return _cross_sum(path) + pair_count(path)
+    return doubled_area(path) + pair_count(path)
 
 
 def cz_total(path: KLatticePath) -> int:
@@ -132,8 +106,6 @@ def fredholm_index(c: CurveData) -> int:
 def j0_index(gen, side: str) -> int:
     """Secondary index: kpath I - e; convex I - 2(x+y) - e."""
     if side == "kpath":
-        from .paths import grading
-
         if not isinstance(gen, KLatticePath):
             raise TypeError("side='kpath' expects a lattice path")
         return grading(gen) - elliptic_factor_count(gen)

@@ -186,6 +186,11 @@ def h_count(path: KLatticePath) -> int:
     return sum(1 for g in path.groups if g.h_flag)
 
 
+def elliptic_factor_count(path: KLatticePath) -> int:
+    """Number of distinct elliptic orbit factors: groups with e_mult >= 1."""
+    return sum(1 for g in path.groups if g.e_mult >= 1)
+
+
 def pair_count(path: KLatticePath) -> int:
     return (1 if path.start_pair else 0) + (1 if path.end_pair else 0)
 
@@ -253,22 +258,26 @@ def parse_path(text: str) -> KLatticePath:
     return path
 
 
+def format_items(groups) -> list:
+    """Item texts of (direction, e_mult, h_flag) groups, h before e."""
+    items = []
+    for d1, d2, e_mult, h_flag in groups:
+        if h_flag:
+            items.append(f"h({d1},{d2})")
+        if e_mult:
+            exp = f"^{e_mult}" if e_mult > 1 else ""
+            items.append(f"e({d1},{d2}){exp}")
+    return items
+
+
 def format_path(path: KLatticePath) -> str:
     """Canonical spec string (h before e within a direction class)."""
-    items = []
+    items = format_items(path.groups)
     if path.start_pair:
-        items.append("H-")
-    for g in path.groups:
-        if g.h_flag:
-            items.append(f"h({g.q},{g.p})")
-        if g.e_mult:
-            exp = f"^{g.e_mult}" if g.e_mult > 1 else ""
-            items.append(f"e({g.q},{g.p}){exp}")
+        items.insert(0, "H-")
     if path.end_pair:
         items.append("H+")
-    if not items:
-        return "0"
-    return ";".join(items)
+    return ";".join(items) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -354,25 +363,6 @@ def is_valid(path: KLatticePath) -> bool:
 # ---------------------------------------------------------------------------
 # Geometry
 
-def vertices(path: KLatticePath):
-    """Geometric vertex chain from (0,0) to (x,0), walls included."""
-    pts = [(0, 0)]
-    y = -((1 if path.start_pair else 0) + down_run(path))
-    x = 0
-    if y != 0:
-        pts.append((0, y))
-    for g in middle_groups(path):
-        x += g.q * g.mult
-        y += g.p * g.mult
-        pts.append((x, y))
-    top = (1 if path.end_pair else 0) + up_run(path)
-    if top:
-        if pts[-1] != (x, -top):
-            raise PathSemanticsError("vertical displacements do not close")
-        pts.append((x, 0))
-    return pts
-
-
 def column_bottoms(path: KLatticePath):
     """Lowest region point of each column, for columns 0..x_width(path).
 
@@ -407,15 +397,27 @@ def lower_hull(points):
     return chain
 
 
-def _shoelace2(pts) -> int:
-    total = 0
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-        total += x1 * y2 - x2 * y1
-    return abs(total)
+def cross_sum(edges) -> int:
+    """Sum over (q, p, copies) edges in slope order of each copy crossed
+    with the sum of the edges before it: the doubled area the edge chain
+    encloses with the chord from its start to its end."""
+    px = py = total = 0
+    for q, p, t in edges:
+        total += (px * p - py * q) * t
+        px += q * t
+        py += p * t
+    return total
 
 
 def doubled_area(path: KLatticePath) -> int:
-    return _shoelace2(vertices(path))
+    """Doubled area between path and axis; each half-arrow pair is one unit
+    of wall, parallel to the wall run beside it, so its place is free."""
+    edges = [(g.q, g.p, g.mult) for g in path.groups]
+    if path.start_pair:
+        edges.insert(0, (0, -1, 1))
+    if path.end_pair:
+        edges.append((0, 1, 1))
+    return cross_sum(edges)
 
 
 def grading(path: KLatticePath) -> int:

@@ -41,14 +41,16 @@ from .paths import (
     EdgeGroup,
     KLatticePath,
     action,
+    arrow_count,
     build_path,
-    down_run,
+    cross_sum,
+    elliptic_factor_count,
+    format_items,
     format_path,
     grading,
+    h_count,
     lower_hull,
-    middle_groups,
     pair_count,
-    up_run,
     validate,
 )
 from .toric_dp import MARGIN, replay
@@ -107,16 +109,7 @@ def make_convex_generator(items) -> ConvexGenerator:
 
 
 def format_convex_generator(cg: ConvexGenerator) -> str:
-    if not cg.groups:
-        return "0"
-    items = []
-    for g in cg.groups:
-        if g.h_flag:
-            items.append("h(%d,%d)" % (g.a, g.b))
-        if g.e_mult:
-            items.append("e(%d,%d)%s" % (g.a, g.b,
-                                         "^%d" % g.e_mult if g.e_mult > 1 else ""))
-    return ";".join(items)
+    return ";".join(format_items(cg.groups)) or "0"
 
 
 def cg_x(cg: ConvexGenerator) -> int:
@@ -127,31 +120,23 @@ def cg_y(cg: ConvexGenerator) -> int:
     return sum(g.b * g.mult for g in cg.groups)
 
 
-def cg_h_count(cg: ConvexGenerator) -> int:
-    return sum(1 for g in cg.groups if g.h_flag)
-
-
-def cg_elliptic_factor_count(cg: ConvexGenerator) -> int:
-    return sum(1 for g in cg.groups if g.e_mult >= 1)
+# a class carries e_mult and h_flag as an edge group does
+cg_h_count = h_count
+cg_elliptic_factor_count = elliptic_factor_count
 
 
 def _lattice_terms(classes):
     """(lattice count, x, y) for [(a, b, mult)] in concave order.
 
-    The doubled area is x*y minus the pairwise cross sum of the path edges,
+    The doubled area is x*y minus the cross sum of the path edges (a, -b),
     and the trapezoid version of Pick's theorem gives
     2L = 2A + steps + x + y + 2.
     """
-    acc = 0
-    px = py = 0
-    steps = 0
-    for a, b, t in classes:
-        acc += (px * (-b) - py * a) * t
-        px += a * t
-        py -= b * t
-        steps += t
-    x, y = px, -py
-    doubled = (x * y - acc) + steps + x + y + 2
+    x = sum(a * t for a, _, t in classes)
+    y = sum(b * t for _, b, t in classes)
+    steps = sum(t for _, _, t in classes)
+    doubled = (x * y - cross_sum([(a, -b, t) for a, b, t in classes])
+               + steps + x + y + 2)
     if doubled % 2:
         raise AssertionError("lattice point count must be integral")
     return doubled // 2, x, y
@@ -267,19 +252,24 @@ def support_action(domain: ToricDomain, cg: ConvexGenerator) -> float:
 # Relation to chain-complex generators
 
 
-def toric_multiplicity(path: KLatticePath) -> int:
-    """Total full-arrow multiplicity, walls included, pairs excluded."""
-    return down_run(path) + up_run(path) + sum(g.mult for g in middle_groups(path))
+#: Total full-arrow multiplicity, walls included, pairs excluded.
+toric_multiplicity = arrow_count
+
+
+def factor_target(path: KLatticePath):
+    """(grading, bound) a convex generator must match for this path: equal
+    grading and x + y - h/2 >= bound = pairs + toricMult - 1."""
+    return grading(path), pair_count(path) + arrow_count(path) - 1
 
 
 def leq_relation(cg: ConvexGenerator, path: KLatticePath, domain: ToricDomain) -> bool:
     """Grading equality + action inequality + point-count inequality."""
-    if cg_grading(cg) != grading(path):
+    target, bound = factor_target(path)
+    if cg_grading(cg) != target:
         return False
     if support_action(domain, cg) > action(path) + TOL:
         return False
-    rhs = pair_count(path) + toric_multiplicity(path) - 1
-    return 2 * (cg_x(cg) + cg_y(cg)) - cg_h_count(cg) >= 2 * rhs
+    return 2 * (cg_x(cg) + cg_y(cg)) - cg_h_count(cg) >= 2 * bound
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +606,7 @@ def embedding_obstructed(domain: ToricDomain, path: KLatticePath) -> bool:
     for part in factorizations(path):
         feasible = True
         for block in part:
-            key = (grading(block), pair_count(block) + toric_multiplicity(block) - 1)
+            key = factor_target(block)
             if key not in least:
                 least[key] = admissible_min_action(domain, *key)[0]
             if least[key] > action(block) + TOL:
@@ -670,8 +660,7 @@ def gromov_upper(kmax: int) -> GromovReport:
         if len(factorizations(lam)) != 1:
             raise AssertionError("distinguished generator must factor trivially")
         rhs = action(lam)
-        bound_pts = pair_count(lam) + toric_multiplicity(lam) - 1
-        value, wit = _admissible_search(pool, ball, grading(lam), bound_pts)
+        value, wit = _admissible_search(pool, ball, *factor_target(lam))
         if wit is None or value <= 0:
             raise AssertionError("admissible minimum must be positive and attained")
         bound = rhs / value

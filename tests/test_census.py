@@ -15,7 +15,7 @@ from kech.census import (
     scan_generators,
 )
 from kech.diff import differential
-from kech.paths import action, format_path, grading, h_count, parse_path
+from kech.paths import TOL, action, build_path, format_path, grading, h_count, parse_path
 
 CENSUS_I0 = ["0", "H-;H+"]
 CENSUS_I1 = ["H-;h(1,1)", "h(1,-1);H+", "h(1,0);e(1,0)"]
@@ -106,6 +106,21 @@ def test_grading_capped_scan_is_a_prefix():
         assert k <= 3
         assert capped.generators(k) == full.generators(k)
     assert set(capped.degrees()) == {k for k in full.degrees() if k <= 3}
+
+
+def test_action_is_at_most_grading_plus_two():
+    # every generator of the uncapped slice obeys the capped scan's budget
+    for p in generators_up_to_action(10.0).all_generators():
+        assert action(p) <= grading(p) + 2 + TOL, format_path(p)
+
+
+def test_wall_family_reaches_the_action_budget():
+    # H-;e(0,-1)^n;e(0,1)^n;H+ has grading 2n and action exactly 2n + 2
+    for n in range(21):
+        p = build_path(True, True, n, n, [])
+        assert (grading(p), action(p)) == (2 * n, 2 * n + 2.0)
+        if n <= 4:
+            assert p in generators_of_grading(2 * n, 2 * n + 2.0)
 
 
 def test_h_free_scan_filters_labels():

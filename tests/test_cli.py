@@ -212,6 +212,15 @@ def test_homology_rows(capsys):
     assert out == "degree,betti\n0,1\n1,1\n2,1\n"
 
 
+def test_homology_past_the_action_budget_is_unchanged(capsys):
+    # no generator of grading <= 13 has action above 15, so the capped scan
+    # behind degree 12 finds the same slice at action 15 and at 1e6
+    outs = [run(capsys, "homology", "--max-action", bound, "--max-degree", "12")
+            for bound in ("1e6", "15")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == EXIT_OK
+
+
 def test_capacity_requires_an_index(capsys):
     code, _, err = run(capsys, "capacity")
     assert code == EXIT_USAGE

@@ -7,6 +7,7 @@ from _naive import naive_differential, naive_end_moves, naive_round_interior
 from kech.census import generators_up_to_action
 from kech.diff import Chain, c_op, d_op, differential, round_interior
 from kech.paths import (
+    TOL,
     EdgeGroup,
     KLatticePath,
     action,
@@ -300,6 +301,19 @@ def test_differential_properties_on_large_generators():
             square = square + differential(term)
         assert len(square) == 0, format_path(p)
         assert {mirror(t) for t in boundary} == set(differential(mirror(p)))
+
+    check()
+
+
+def test_action_is_at_most_grading_plus_two_on_large_generators():
+    # the bound that lets a grading-capped scan stop at action g + 2
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(large_generators(hypothesis))
+    def check(p):
+        assert action(p) <= grading(p) + 2 + TOL, format_path(p)
 
     check()
 

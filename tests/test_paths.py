@@ -33,7 +33,6 @@ from kech.paths import (
     total_class,
     up_run,
     validate,
-    vertices,
     x_width,
 )
 
@@ -220,7 +219,6 @@ def test_ladder_family_specs():
 
 def test_geometry_accessors():
     p = parse_path("h(1,-1);h(1,1)")
-    assert vertices(p) == [(0, 0), (1, -1), (2, 0)]
     assert column_bottoms(p) == [0, -1, 0]
     assert doubled_area(p) == 2
     assert (h_count(p), pair_count(p), x_width(p), arrow_count(p)) == (2, 0, 2, 2)
