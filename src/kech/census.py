@@ -42,14 +42,6 @@ from typing import NamedTuple
 
 from .paths import TOL, EdgeGroup, KLatticePath, format_items
 
-#: Largest action bound the command line accepts for enumerate.  The whole
-#: slice ends within a minute up to here on a 2-core Xeon with Python 3.11:
-#: as csv 34 s and 594 MiB peak RSS at 16 (14 s and 278 MiB at 15), as a
-#: table 36 s and 794 MiB at 16 (18 s and 372 MiB at 15, 7.2 s and 175 MiB
-#: at 14, 2.8 s and 85 MiB at 13), its time and memory growing about 2.2-fold
-#: per unit of action.
-ENUMERATE_ACTION_LIMIT = 16
-
 
 class ComplexSlice(NamedTuple):
     """All valid generators with action <= action_bound, grouped by grading.
@@ -233,8 +225,3 @@ def generators_up_to_action(max_action: float, max_grading=None) -> ComplexSlice
 def grading_slice(k: int, max_action: float) -> ComplexSlice:
     """The slice of one grading within the action bound, from the capped scan."""
     return _collect(max_action, k, only=k)
-
-
-def generators_of_grading(k: int, max_action: float) -> tuple:
-    """All generators of one grading within the action bound."""
-    return grading_slice(k, max_action).generators(k)

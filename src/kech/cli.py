@@ -14,18 +14,9 @@ import json
 import math
 import sys
 
-from .census import (
-    ENUMERATE_ACTION_LIMIT,
-    generators_up_to_action,
-    grading_slice,
-)
+from .census import generators_up_to_action, grading_slice
 from .diff import differential
-from .homology import (
-    D2CHECK_ACTION_LIMIT,
-    HOMOLOGY_DEGREE_LIMIT,
-    betti_numbers,
-    d_squared_report,
-)
+from .homology import betti_numbers, d_squared_report
 from .paths import (
     action,
     format_path,
@@ -36,11 +27,8 @@ from .paths import (
     total_class,
     validate,
 )
-from .spectrum import KMAX_LIMIT, capacity, capacity_series, weyl_series
+from .spectrum import capacity, capacity_series, weyl_series
 from .toric import (
-    GROMOV_KMAX_LIMIT,
-    K_LIMIT,
-    OBSTRUCT_ITEMS_LIMIT,
     embedding_obstructed,
     format_convex_generator,
     gromov_upper,
@@ -54,6 +42,64 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 _SCHEMA = "kech/1"
+
+# Input limits: each command exits 2 at once past its limit (_within_reach),
+# rather than run for more than a minute.
+
+#: Largest action bound the command line accepts for enumerate.  The whole
+#: slice ends within a minute up to here on a 2-core Xeon with Python 3.11:
+#: as csv 34 s and 594 MiB peak RSS at 16 (14 s and 278 MiB at 15), as a
+#: table 36 s and 794 MiB at 16 (18 s and 372 MiB at 15, 7.2 s and 175 MiB
+#: at 14, 2.8 s and 85 MiB at 13), its time and memory growing about 2.2-fold
+#: per unit of action.
+ENUMERATE_ACTION_LIMIT = 16
+
+#: Largest action bound the command line accepts for d2check.
+#: d_squared_report ends within a minute up to here on a 2-core Xeon with
+#: Python 3.11: 26 s and 176 MiB peak RSS at 14 (9.3 s and 89 MiB at 13,
+#: 2.7 s and 47 MiB at 12), its time growing about 2.8-fold per unit of
+#: action, so past a minute at 15 (not run).
+D2CHECK_ACTION_LIMIT = 14
+
+#: Largest degree bound the command line accepts for homology.  The slice
+#: is capped at grading max_degree + 1, so its scan stops at action
+#: max_degree + 3 (see kech.census) whatever the action bound.  At action
+#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 2.3 s and 37 MiB
+#: peak RSS at degree 25 in a child process (0.7 s at degree 20), about
+#: 85% of it in the scan.
+HOMOLOGY_DEGREE_LIMIT = 25
+
+#: Largest index the command line accepts for capacity and weyl.
+#: capacity_series(kmax) ends within a minute up to here on a 2-core Xeon
+#: with Python 3.11, and its time grows about as kmax^3.3 (0.35 s at 100,
+#: 4 s at 200, 16 s at 300, 43 s at 400).
+KMAX_LIMIT = 400
+
+#: Largest k the command line accepts for cap-toric.  toric_capacity_detail
+#: ends within a minute up to here on a 2-core Xeon with Python 3.11: 34 to
+#: 49 s at k = 2000 on balls, ellipsoids and quadrilaterals, 25 s at 1700.
+#: Near-tie domains, where a generator sits 1e-6 above the optimum, can take
+#: longer: on ellipsoid:1,1.000001 in process, 2.1 s at k = 300, 43 s at
+#: 1000, and k = 2000 had not ended after 10 minutes.
+K_LIMIT = 2000
+
+#: Largest kmax the command line accepts for gromov.  gromov_upper takes
+#: 16 to 17 s at kmax = 1000 on a 2-core Xeon with Python 3.11 (1.4 s at
+#: 300, 0.3 s at 130), its time growing about as kmax^2, and every record
+#: up to here matches (2k+3)/(2k+1).
+GROMOV_KMAX_LIMIT = 1000
+
+#: Largest atom count (half-arrow pairs plus orbit classes) the command line
+#: accepts for obstruct.  The time grows with the number of factorizations,
+#: about Bell(n) at worst, and with the distinct (grading, bound) searches
+#: their blocks ask.  On the symmetric family (walls, sloped classes (1,-j)
+#: and (j,-1) below the axis and their mirror images above, e(1,0)^2 or a
+#: pair and e(1,0) for parity) in ball:3, where every factorization is
+#: infeasible and all are tried, one run each on a 2-core Xeon with Python
+#: 3.11 takes 2.0 s at 13 atoms, 3.2 s at 14 and 22 s at 15; a 15-atom
+#: variant with a pair and a longer descent takes 34 s, 31 of them in its 515
+#: searches (ball:1 stops at the first feasible one: 0.7, 1.7, 6.2 s).
+OBSTRUCT_ITEMS_LIMIT = 14
 
 
 class _UsageError(Exception):

@@ -8,21 +8,6 @@ from .census import generators_up_to_action
 from .diff import differential
 from .paths import TOL, action, format_path
 
-#: Largest action bound the command line accepts for d2check.
-#: d_squared_report ends within a minute up to here on a 2-core Xeon with
-#: Python 3.11: 26 s and 176 MiB peak RSS at 14 (9.3 s and 89 MiB at 13,
-#: 2.7 s and 47 MiB at 12), its time growing about 2.8-fold per unit of
-#: action, so past a minute at 15 (not run).
-D2CHECK_ACTION_LIMIT = 14
-
-#: Largest degree bound the command line accepts for homology.  The slice
-#: is capped at grading max_degree + 1, so its scan stops at action
-#: max_degree + 3 (see kech.census) whatever the action bound.  At action
-#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 2.3 s and 37 MiB
-#: peak RSS at degree 25 in a child process (0.7 s at degree 20), about
-#: 85% of it in the scan.
-HOMOLOGY_DEGREE_LIMIT = 25
-
 
 def d_squared_report(max_action: float):
     """Generators whose boundary fails to die under a second boundary.
@@ -108,13 +93,9 @@ def barcode(max_degree: int, max_action: float):
             if k <= max_degree and i not in deaths]
 
 
-def betti(k: int, max_action: float) -> int:
-    """dim H_k of the slice below max_action."""
-    return betti_numbers(k, max_action)[k]
-
-
 def betti_numbers(max_degree: int, max_action: float):
-    """[betti(k, max_action) for k = 0 .. max_degree]: the essential bars."""
+    """dim H_k of the slice below max_action for k = 0 .. max_degree: the
+    essential bars."""
     counts = [0] * (max_degree + 1)
     for k, _, death in barcode(max_degree, max_action):
         if death == inf:

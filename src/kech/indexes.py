@@ -52,9 +52,6 @@ def negative_hyperbolic_count(path: KLatticePath) -> int:
     return 2 * pair_count(path)
 
 
-positive_hyperbolic_count = h_count
-
-
 def relative_chern(alpha: KLatticePath, beta: KLatticePath) -> int:
     """(n_alpha - n_beta)/2 for the canonical relative class."""
     if total_class(alpha) != total_class(beta):
@@ -98,8 +95,8 @@ def fredholm_index(c: CurveData) -> int:
         2 * (c.genus + elliptic_factor_count(c.alpha) - 1)
         + negative_hyperbolic_count(c.alpha)
         + negative_hyperbolic_count(c.beta)
-        + positive_hyperbolic_count(c.alpha)
-        + positive_hyperbolic_count(c.beta)
+        + h_count(c.alpha)
+        + h_count(c.beta)
     )
 
 
@@ -110,11 +107,11 @@ def j0_index(gen, side: str) -> int:
             raise TypeError("side='kpath' expects a lattice path")
         return grading(gen) - elliptic_factor_count(gen)
     if side == "convex":
-        from .toric import ConvexGenerator, cg_elliptic_factor_count, cg_grading, cg_x, cg_y
+        from .toric import ConvexGenerator, cg_grading, cg_x, cg_y
 
         if not isinstance(gen, ConvexGenerator):
             raise TypeError("side='convex' expects a convex generator")
-        return cg_grading(gen) - 2 * (cg_x(gen) + cg_y(gen)) - cg_elliptic_factor_count(gen)
+        return cg_grading(gen) - 2 * (cg_x(gen) + cg_y(gen)) - elliptic_factor_count(gen)
     raise ValueError("side must be 'kpath' or 'convex'")
 
 

@@ -150,19 +150,12 @@ def build_path(start_pair: bool, end_pair: bool, down: int, up: int, middle) -> 
 
 
 # Slope order puts the down wall first and the up wall last, so the wall
-# accessors read only the two end groups.
+# accessors read only the end groups.
 
 def down_run(path: KLatticePath) -> int:
     groups = path.groups
     if groups and groups[0].q == 0 and groups[0].p < 0:
         return groups[0].mult
-    return 0
-
-
-def up_run(path: KLatticePath) -> int:
-    groups = path.groups
-    if groups and groups[-1].q == 0 and groups[-1].p > 0:
-        return groups[-1].mult
     return 0
 
 

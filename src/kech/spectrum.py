@@ -71,11 +71,6 @@ from .paths import (
 #: limit of c_k^2/k is twice this, 2*pi (see the module docstring).
 REFERENCE_CONTACT_VOLUME = pi
 
-#: Largest kmax the command line accepts.  capacity_series(kmax) ends within
-#: a minute up to here on a 2-core Xeon with Python 3.11, and its time grows
-#: about as kmax^3.3 (0.35 s at 100, 4 s at 200, 16 s at 300, 43 s at 400).
-KMAX_LIMIT = 400
-
 
 class CapacityResult(NamedTuple):
     k: int

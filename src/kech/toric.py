@@ -44,7 +44,6 @@ from .paths import (
     arrow_count,
     build_path,
     cross_sum,
-    elliptic_factor_count,
     format_items,
     format_path,
     grading,
@@ -120,11 +119,6 @@ def cg_y(cg: ConvexGenerator) -> int:
     return sum(g.b * g.mult for g in cg.groups)
 
 
-# a class carries e_mult and h_flag as an edge group does
-cg_h_count = h_count
-cg_elliptic_factor_count = elliptic_factor_count
-
-
 def _lattice_terms(classes):
     """(lattice count, x, y) for [(a, b, mult)] in concave order.
 
@@ -149,7 +143,8 @@ def cg_lattice_points(cg: ConvexGenerator) -> int:
 
 def cg_grading(cg: ConvexGenerator) -> int:
     """2(L - 1) - h for L the enclosed lattice point count."""
-    return 2 * (cg_lattice_points(cg) - 1) - cg_h_count(cg)
+    # a class carries e_mult and h_flag as an edge group does
+    return 2 * (cg_lattice_points(cg) - 1) - h_count(cg)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +247,15 @@ def support_action(domain: ToricDomain, cg: ConvexGenerator) -> float:
 # Relation to chain-complex generators
 
 
-#: Total full-arrow multiplicity, walls included, pairs excluded.
-toric_multiplicity = arrow_count
-
-
 def factor_target(path: KLatticePath):
     """(grading, bound) a convex generator must match for this path: equal
     grading and x + y - h/2 >= bound = pairs + toricMult - 1."""
     return grading(path), pair_count(path) + arrow_count(path) - 1
+
+
+def _action_fits(value: float, path: KLatticePath) -> bool:
+    """The action half of the matching rule: value <= action(path), to TOL."""
+    return value <= action(path) + TOL
 
 
 def leq_relation(cg: ConvexGenerator, path: KLatticePath, domain: ToricDomain) -> bool:
@@ -267,9 +263,9 @@ def leq_relation(cg: ConvexGenerator, path: KLatticePath, domain: ToricDomain) -
     target, bound = factor_target(path)
     if cg_grading(cg) != target:
         return False
-    if support_action(domain, cg) > action(path) + TOL:
+    if not _action_fits(support_action(domain, cg), path):
         return False
-    return 2 * (cg_x(cg) + cg_y(cg)) - cg_h_count(cg) >= 2 * bound
+    return 2 * (cg_x(cg) + cg_y(cg)) - h_count(cg) >= 2 * bound
 
 
 # ---------------------------------------------------------------------------
@@ -323,31 +319,6 @@ def factorizations(path: KLatticePath):
 
 # ---------------------------------------------------------------------------
 # Minimization over convex generators
-
-#: Largest k the command line accepts for cap-toric.  toric_capacity_detail
-#: ends within a minute up to here on a 2-core Xeon with Python 3.11: 34 to
-#: 49 s at k = 2000 on balls, ellipsoids and quadrilaterals, 25 s at 1700.
-#: Near-tie domains, where a generator sits 1e-6 above the optimum, take the
-#: replay's uncut rerun and may take longer.
-K_LIMIT = 2000
-
-#: Largest kmax the command line accepts for gromov.  gromov_upper takes
-#: 16 to 17 s at kmax = 1000 on a 2-core Xeon with Python 3.11 (1.4 s at
-#: 300, 0.3 s at 130), its time growing about as kmax^2, and every record
-#: up to here matches (2k+3)/(2k+1).
-GROMOV_KMAX_LIMIT = 1000
-
-#: Largest atom count (half-arrow pairs plus orbit classes) the command line
-#: accepts for obstruct.  The time grows with the number of factorizations,
-#: about Bell(n) at worst, and with the distinct (grading, bound) searches
-#: their blocks ask.  On the symmetric family (walls, sloped classes (1,-j)
-#: and (j,-1) below the axis and their mirror images above, e(1,0)^2 or a
-#: pair and e(1,0) for parity) in ball:3, where every factorization is
-#: infeasible and all are tried, one run each on a 2-core Xeon with Python
-#: 3.11 takes 2.0 s at 13 atoms, 3.2 s at 14 and 22 s at 15; a 15-atom
-#: variant with a pair and a longer descent takes 34 s, 31 of them in its 515
-#: searches (ball:1 stops at the first feasible one: 0.7, 1.7, 6.2 s).
-OBSTRUCT_ITEMS_LIMIT = 14
 
 
 def _pool_by_height(domain: ToricDomain, i_target: int):
@@ -589,11 +560,6 @@ def toric_capacity_detail(domain: ToricDomain, k: int):
     return value, ConvexGenerator(tuple(CgClass(a, b, t, False) for a, b, t in classes))
 
 
-def ech_capacity_toric(domain: ToricDomain, k: int) -> float:
-    """Min support action over all-elliptic convex generators of grading 2k."""
-    return toric_capacity_detail(domain, k)[0]
-
-
 # ---------------------------------------------------------------------------
 # Obstruction and the Gromov bound
 
@@ -609,7 +575,7 @@ def embedding_obstructed(domain: ToricDomain, path: KLatticePath) -> bool:
             key = factor_target(block)
             if key not in least:
                 least[key] = admissible_min_action(domain, *key)[0]
-            if least[key] > action(block) + TOL:
+            if not _action_fits(least[key], block):
                 feasible = False
                 break
         if feasible:

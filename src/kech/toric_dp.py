@@ -107,14 +107,18 @@ def completion_bound(moves, roof: int, incumbent: float, margin: float):
     that some list of action within the cutoff passes through.  The prefix
     sweep drops states above incumbent + 2 * MARGIN, and the suffix sweep
     those whose action plus their least completion in the prefix sweep
-    exceeds cutoff + margin; at margin = MARGIN no list within the cutoff
-    passes through them.  At margin = inf the table holds every state of
-    the prefix sweep.
+    exceeds min(cutoff + margin, incumbent + 2 * MARGIN).  No list of
+    action at most the incumbent passes through a dropped state, nor, at
+    margin = MARGIN, any list within the cutoff: v* is at most the
+    incumbent, so both bounds lie about MARGIN above the cutoff, and the
+    first one is the smaller up to rounding.  At margin = inf the table
+    holds every state that a list of action at most the incumbent passes
+    through.
     """
     prefix = sweep(moves, roof, incumbent + 2 * MARGIN)
     cutoff = min(layer[roof] for layer in prefix if roof in layer) + margin
     suffix = sweep([(b, a, cost) for a, b, cost in reversed(moves)], roof,
-                   cutoff + margin, prefix)
+                   min(cutoff + margin, incumbent + 2 * MARGIN), prefix)
     width = roof + 1
     table = {}
     for x, layer in enumerate(prefix):
@@ -142,7 +146,9 @@ def replay(moves, roof: int, seeds):
     within the cutoff.  Every list below a child that fails it has action
     above cutoff - s, with s the rounding between summing a list's costs in
     two orders (under 1e-11 for actions up to 1e3; the argument needs
-    s + 1e-12 < 2e-9).
+    s + 1e-12 < 2e-9).  The replay also skips a child when u + C exceeds
+    its incumbent plus 2e-9: every list below it costs more than the
+    incumbent + 2e-9 - s, so none could become the incumbent.
 
     The replay returns the search's answer.  Call a list deep when its
     action is at most cutoff - 2e-9; the optimum, MARGIN below the cutoff,
@@ -152,15 +158,23 @@ def replay(moves, roof: int, seeds):
     of those lies within 2e-9 of the cutoff, the search's incumbents before
     it lie above cutoff - s too.  Both take the first deep list.  From it on
     both hold the same incumbent and make the same moves, since every list
-    the replay skips lies more than 1e-12 above it.
+    the replay skips lies more than 1e-12 above it.  The argument reads
+    the band within 2e-9 of the cutoff only before the first deep list;
+    there the incumbent lies above cutoff + 2e-9, so the test against the
+    incumbent skips only lists above cutoff + 4e-9 - s, outside the band,
+    and the check still sees every list in it.  Past the first deep list
+    that test skips the lists near the cutoff that would otherwise call
+    for a second pass.
 
     When the first pass does offer a list within 2e-9 of its cutoff, the
     replay runs once more with the cutoff at infinity, and u + C never
-    exceeds it.  The table then holds every state the search visits: the
-    search visits no list at or above the least seed's action, and a
-    state's entry in the prefix sweep is at most the action u of any list
-    that reaches it, summed in the same order.  So the second walk is the
-    search's own tree in its order, and its answer the search's answer.
+    exceeds it.  Past its seeds the search offers no list at or above the
+    least seed's action, and the table then holds every state that a list
+    below it passes through; a state's entry in the prefix sweep is at
+    most the action u of any list that reaches it, summed in the same
+    order.  So the second walk is the search's own tree in its order, less
+    subtrees in which no list can become the incumbent, and its answer the
+    search's answer.
 
     Returns (action, classes) with classes the winning [(a, b, t)].
     """
@@ -205,7 +219,8 @@ def replay(moves, roof: int, seeds):
                 if b * last_a <= last_b * a:
                     continue
                 new_used = used + step
-                if new_used >= best - 1e-12 or new_used + table[child][1] > cutoff:
+                least = new_used + table[child][1]
+                if new_used >= best - 1e-12 or least > cutoff or least > best + 2e-9:
                     continue
                 chosen.append((a, b, t))
                 walk(child, a, b, new_used, chosen)

@@ -37,7 +37,6 @@ from kech.paths import (
     parse_path,
     slope_before,
     total_class,
-    up_run,
     validate,
 )
 from kech.toric import (
@@ -382,6 +381,14 @@ def naive_generators(max_action):
 
     rec(0, float(max_action), [])
     return found
+
+
+def up_run(path):
+    """Multiplicity of the up wall, the last group when it is e(0,1)^m."""
+    groups = path.groups
+    if groups and groups[-1].q == 0 and groups[-1].p > 0:
+        return groups[-1].mult
+    return 0
 
 
 def _orbit_atoms(path):

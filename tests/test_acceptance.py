@@ -11,7 +11,7 @@ import hashlib
 import time
 
 from _naive import naive_factor_splits, naive_generators
-from kech.census import generators_of_grading, generators_up_to_action
+from kech.census import generators_up_to_action, grading_slice
 from kech.diff import differential
 from kech.homology import d_squared_report, stabilized_betti
 from kech.indexes import ech_index_decomposed
@@ -26,7 +26,7 @@ from kech.paths import (
     parse_path,
 )
 from kech.spectrum import REFERENCE_CONTACT_VOLUME, capacity_series, weyl_series
-from kech.toric import ToricDomain, ech_capacity_toric, factorizations, gromov_upper
+from kech.toric import ToricDomain, factorizations, gromov_upper, toric_capacity_detail
 
 _SERIES = {}
 
@@ -60,7 +60,7 @@ def test_criterion_02_low_index_census():
         2: ["H-;e(0,-1);e(0,1);H+", "H-;e(1,1)", "e(0,-1);e(0,1)",
             "e(1,-1);H+", "e(1,0)^2", "h(1,-1);h(1,1)"],
     }
-    got = {k: sorted(format_path(p) for p in generators_of_grading(k, 5.0))
+    got = {k: sorted(format_path(p) for p in grading_slice(k, 5.0).generators(k))
            for k in expect}
     ok = got == {k: sorted(v) for k, v in expect.items()}
     assert report(2, "low-index census is 2/3/6 with exact specs", ok,
@@ -171,7 +171,7 @@ def test_criterion_09_gromov_bound_pipeline():
 def test_criterion_10_capacities_cannot_see_width_one():
     series = series50()
     ball = ToricDomain.ball(1.0)
-    worst = min(series[k].value / ech_capacity_toric(ball, k)
+    worst = min(series[k].value / toric_capacity_detail(ball, k)[0]
                 for k in range(1, 51))
     ok = worst >= 1.2 - 1e-6
     assert report(10, "capacity ratio against the unit ball stays >= 1.2", ok,

@@ -9,7 +9,6 @@ from kech.census import (
     ComplexSlice,
     _directions,
     _skips,
-    generators_of_grading,
     generators_up_to_action,
     grading_slice,
     scan_generators,
@@ -30,7 +29,7 @@ CENSUS_I2 = [
 
 
 def specs_of_grading(k, bound):
-    return sorted(format_path(p) for p in generators_of_grading(k, bound))
+    return sorted(format_path(p) for p in grading_slice(k, bound).generators(k))
 
 
 def test_low_index_census():
@@ -120,7 +119,7 @@ def test_wall_family_reaches_the_action_budget():
         p = build_path(True, True, n, n, [])
         assert (grading(p), action(p)) == (2 * n, 2 * n + 2.0)
         if n <= 4:
-            assert p in generators_of_grading(2 * n, 2 * n + 2.0)
+            assert p in grading_slice(2 * n, 2 * n + 2.0).generators(2 * n)
 
 
 def test_h_free_scan_filters_labels():
@@ -146,8 +145,8 @@ def test_count_helper():
 
 def test_boundary_matrix_shapes_and_entries():
     m = boundary_matrix(2, 3.0)
-    rows = generators_of_grading(1, 3.0)
-    cols = generators_of_grading(2, 3.0)
+    rows = grading_slice(1, 3.0).generators(1)
+    cols = grading_slice(2, 3.0).generators(2)
     assert m.shape == (len(rows), len(cols))
     assert m.rows == rows and m.cols == cols
     for j, col in enumerate(cols):
@@ -159,7 +158,7 @@ def test_boundary_matrix_shapes_and_entries():
 
 def test_boundary_matrix_column_weight_of_worked_example():
     m = boundary_matrix(2, 3.0)
-    cols = [format_path(p) for p in generators_of_grading(2, 3.0)]
+    cols = [format_path(p) for p in grading_slice(2, 3.0).generators(2)]
     j = cols.index("h(1,-1);h(1,1)")
     assert bin(m.columns[j]).count("1") == 3
 

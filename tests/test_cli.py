@@ -10,9 +10,8 @@ import kech.cli
 import kech.homology
 import kech.spectrum
 import kech.toric
-from kech.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from kech.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, KMAX_LIMIT, main
 from kech.paths import pair_count, parse_path
-from kech.spectrum import KMAX_LIMIT
 
 
 def run(capsys, *argv):
@@ -185,7 +184,7 @@ def test_enumerate_grading_never_builds_an_uncapped_slice(capsys, monkeypatch):
     monkeypatch.setattr(kech.census, "generators_up_to_action", only_capped)
     monkeypatch.setattr(kech.cli, "generators_up_to_action", only_capped)
     code, out, _ = run(capsys, "--format", "csv", "enumerate", "--max-action",
-                       str(kech.census.ENUMERATE_ACTION_LIMIT), "--grading", "2")
+                       str(kech.cli.ENUMERATE_ACTION_LIMIT), "--grading", "2")
     assert code == EXIT_OK
     rows = out.splitlines()[1:]
     assert rows and all(",2," in row for row in rows)
@@ -279,11 +278,11 @@ def test_out_of_reach_toric_k_fails_fast(capsys, monkeypatch):
     monkeypatch.setattr(kech.toric, "replay", refuse)
     t0 = time.monotonic()
     code, out, err = run(capsys, "cap-toric", "--domain", "ball:1",
-                         "--k", str(kech.toric.K_LIMIT + 1))
+                         "--k", str(kech.cli.K_LIMIT + 1))
     assert time.monotonic() - t0 < 1.0
     assert code == EXIT_INPUT
     assert out == ""
-    assert "out of reach" in err and str(kech.toric.K_LIMIT) in err
+    assert "out of reach" in err and str(kech.cli.K_LIMIT) in err
 
 
 def test_out_of_reach_gromov_kmax_fails_fast(capsys, monkeypatch):
@@ -294,11 +293,11 @@ def test_out_of_reach_gromov_kmax_fails_fast(capsys, monkeypatch):
     monkeypatch.setattr(kech.toric, "_admissible_search", refuse)
     t0 = time.monotonic()
     code, out, err = run(capsys, "gromov", "--kmax",
-                         str(kech.toric.GROMOV_KMAX_LIMIT + 1))
+                         str(kech.cli.GROMOV_KMAX_LIMIT + 1))
     assert time.monotonic() - t0 < 1.0
     assert code == EXIT_INPUT
     assert out == ""
-    assert "out of reach" in err and str(kech.toric.GROMOV_KMAX_LIMIT) in err
+    assert "out of reach" in err and str(kech.cli.GROMOV_KMAX_LIMIT) in err
 
 
 # the symmetric obstruct family at 14 and 15 atoms (pairs plus classes)
@@ -319,7 +318,7 @@ def test_out_of_reach_obstruct_items_fails_fast(capsys, monkeypatch):
 
     monkeypatch.setattr(kech.toric, "factorizations", refuse)
     monkeypatch.setattr(kech.toric, "admissible_min_action", refuse)
-    limit = kech.toric.OBSTRUCT_ITEMS_LIMIT
+    limit = kech.cli.OBSTRUCT_ITEMS_LIMIT
     assert items(OBSTRUCT_PAST_LIMIT) == limit + 1
     t0 = time.monotonic()
     code, out, err = run(capsys, "obstruct", "--domain", "ball:3",
@@ -333,7 +332,7 @@ def test_out_of_reach_obstruct_items_fails_fast(capsys, monkeypatch):
 def test_obstruct_items_at_the_limit_are_accepted(capsys, monkeypatch):
     monkeypatch.setattr(kech.cli, "embedding_obstructed",
                         lambda domain, path: True)
-    assert items(OBSTRUCT_AT_LIMIT) == kech.toric.OBSTRUCT_ITEMS_LIMIT
+    assert items(OBSTRUCT_AT_LIMIT) == kech.cli.OBSTRUCT_ITEMS_LIMIT
     code, out, err = run(capsys, "--format", "csv", "obstruct", "--domain",
                          "ball:3", "--lambda-prime", OBSTRUCT_AT_LIMIT)
     assert code == EXIT_OK and err == ""
@@ -353,8 +352,8 @@ def test_negative_index_exits_input(capsys, argv, message):
 
 
 @pytest.mark.parametrize("command, limit", [
-    ("enumerate", kech.census.ENUMERATE_ACTION_LIMIT),
-    ("d2check", kech.homology.D2CHECK_ACTION_LIMIT),
+    ("enumerate", kech.cli.ENUMERATE_ACTION_LIMIT),
+    ("d2check", kech.cli.D2CHECK_ACTION_LIMIT),
 ])
 def test_out_of_reach_action_fails_fast(capsys, monkeypatch, command, limit):
     def refuse(*args):
@@ -374,7 +373,7 @@ def test_out_of_reach_action_fails_fast(capsys, monkeypatch, command, limit):
 def test_action_at_the_limit_is_accepted(capsys, monkeypatch):
     monkeypatch.setattr(kech.cli, "d_squared_report", lambda bound: [])
     code, _, err = run(capsys, "d2check", "--max-action",
-                       str(kech.homology.D2CHECK_ACTION_LIMIT))
+                       str(kech.cli.D2CHECK_ACTION_LIMIT))
     assert code == EXIT_OK and err == ""
 
 
@@ -384,7 +383,7 @@ def test_out_of_reach_homology_degree_fails_fast(capsys, monkeypatch):
 
     monkeypatch.setattr(kech.cli, "betti_numbers", refuse)
     monkeypatch.setattr(kech.homology, "generators_up_to_action", refuse)
-    limit = kech.homology.HOMOLOGY_DEGREE_LIMIT
+    limit = kech.cli.HOMOLOGY_DEGREE_LIMIT
     t0 = time.monotonic()
     code, out, err = run(capsys, "homology", "--max-action", "1000",
                          "--max-degree", str(limit + 1))

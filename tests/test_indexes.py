@@ -10,17 +10,15 @@ from kech.indexes import (
     conley_zehnder,
     cz_total,
     ech_index_decomposed,
-    elliptic_factor_count,
     fredholm_index,
     j0_index,
     negative_hyperbolic_count,
     partitions,
-    positive_hyperbolic_count,
     q_tau,
     relative_chern,
 )
 from kech.census import generators_up_to_action
-from kech.paths import EMPTY_PATH, grading, parse_path
+from kech.paths import EMPTY_PATH, elliptic_factor_count, grading, h_count, parse_path
 from kech.toric import CgClass, make_convex_generator
 
 
@@ -37,12 +35,12 @@ def test_conley_zehnder_values():
 def test_orbit_counts():
     p = parse_path("H-;e(0,-1);h(1,2)")
     assert negative_hyperbolic_count(p) == 2
-    assert positive_hyperbolic_count(p) == 1
+    assert h_count(p) == 1
     assert elliptic_factor_count(p) == 1
     q = parse_path("h(1,0);e(1,0)")
     # one group carrying both labels counts once as an elliptic factor
     assert elliptic_factor_count(q) == 1
-    assert positive_hyperbolic_count(q) == 1
+    assert h_count(q) == 1
 
 
 def test_decomposition_terms_small():

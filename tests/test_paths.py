@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from _naive import naive_validate
+from _naive import naive_validate, up_run
 from kech.census import generators_up_to_action
 from kech.paths import (
     EMPTY_PATH,
@@ -31,7 +31,6 @@ from kech.paths import (
     parse_path,
     slope_before,
     total_class,
-    up_run,
     validate,
     x_width,
 )

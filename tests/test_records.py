@@ -53,15 +53,33 @@ def _samples():
     ]
 
 
-def test_importing_kech_loads_neither_dataclasses_nor_inspect():
+def _child_stdout(code):
+    """stdout of a fresh interpreter running code with this kech on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kech.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_importing_kech_loads_neither_dataclasses_nor_inspect():
     code = ("import sys; before = set(sys.modules); import kech.cli, kech; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    assert _child_stdout(code) == "[]\n"
+
+
+def test_importing_kech_cli_leaves_indexes_unloaded():
+    # the package root imports no module, so the command line loads only
+    # the engines it calls
+    code = "import sys, kech.cli; print('kech.indexes' in sys.modules)"
+    assert _child_stdout(code) == "False\n"
+
+
+def test_package_root_holds_only_the_version():
+    # every public name is imported from its own module
+    code = ("import kech; print(sorted(n for n in vars(kech) if not n.startswith('_')), "
+            "hasattr(kech, '__version__'))")
+    assert _child_stdout(code) == "[] True\n"
 
 
 @pytest.mark.parametrize("record", _samples(), ids=lambda r: type(r).__name__)

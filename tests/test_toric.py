@@ -13,20 +13,26 @@ from _naive import (
     rasterize_convex_count,
 )
 from kech.census import generators_up_to_action
-from kech.paths import EdgeGroup, build_path, format_path, parse_path, validate
+from kech.paths import (
+    EdgeGroup,
+    arrow_count,
+    build_path,
+    elliptic_factor_count,
+    format_path,
+    h_count,
+    parse_path,
+    validate,
+)
 from kech.toric import (
     EMPTY_CONVEX,
     CgClass,
     ConvexGenerator,
     ToricDomain,
     admissible_min_action,
-    cg_elliptic_factor_count,
     cg_grading,
-    cg_h_count,
     cg_lattice_points,
     cg_x,
     cg_y,
-    ech_capacity_toric,
     embedding_obstructed,
     factorizations,
     format_convex_generator,
@@ -36,7 +42,6 @@ from kech.toric import (
     parse_domain,
     support_action,
     toric_capacity_detail,
-    toric_multiplicity,
 )
 
 
@@ -82,11 +87,11 @@ def test_convex_generator_accessors():
     ])
     assert format_convex_generator(cg) == "e(1,0)^2;h(2,1);e(2,1);e(0,1)"
     assert (cg_x(cg), cg_y(cg)) == (6, 3)
-    assert cg_h_count(cg) == 1
-    assert cg_elliptic_factor_count(cg) == 3
+    assert h_count(cg) == 1
+    assert elliptic_factor_count(cg) == 3
     assert cg_lattice_points(cg) == 22
     assert cg_grading(cg) == 41
-    assert toric_multiplicity is not None  # path-side helper exercised below
+    assert not hasattr(kech.toric, "toric_multiplicity")  # arrow_count, tested below
 
 
 def test_empty_convex_generator():
@@ -103,7 +108,7 @@ def test_grading_examples_frozen():
     assert cg_grading(make_convex_generator([CgClass(3, 1, 1, False)])) == 8
     mixed = make_convex_generator([CgClass(1, 1, 0, True)])
     assert cg_grading(mixed) == 3
-    assert cg_h_count(mixed) == 1
+    assert h_count(mixed) == 1
 
 
 def test_lattice_points_match_rasterizer():
@@ -337,25 +342,25 @@ def test_ball_capacities_equal_weight_sequence():
     expect = weight_sequence(1, 1, 60)
     for k in range(61):
         assert expect[k] == ball_capacity(k), k
-        assert abs(ech_capacity_toric(b1, k) - expect[k]) < 1e-9, k
+        assert abs(toric_capacity_detail(b1, k)[0] - expect[k]) < 1e-9, k
 
 
 def test_scaled_ball_capacities():
     b = ToricDomain.ball(1.5)
     expect = [1.5 * v for v in weight_sequence(1, 1, 12)]
     for k in range(13):
-        assert abs(ech_capacity_toric(b, k) - expect[k]) < 1e-9, k
+        assert abs(toric_capacity_detail(b, k)[0] - expect[k]) < 1e-9, k
 
 
 def test_ellipsoid_capacities_equal_weight_sequences():
     e12 = ToricDomain.ellipsoid(1.0, 2.0)
     expect = weight_sequence(1, 2, 60)
     for k in range(61):
-        assert abs(ech_capacity_toric(e12, k) - expect[k]) < 1e-9, k
+        assert abs(toric_capacity_detail(e12, k)[0] - expect[k]) < 1e-9, k
     e23 = ToricDomain.ellipsoid(2.0, 3.0)
     expect = weight_sequence(2, 3, 10)
     for k in range(11):
-        assert abs(ech_capacity_toric(e23, k) - expect[k]) < 1e-9, k
+        assert abs(toric_capacity_detail(e23, k)[0] - expect[k]) < 1e-9, k
 
 
 def test_toric_capacity_details():
@@ -398,9 +403,9 @@ def test_large_k_capacities_match_closed_forms():
     b1 = ToricDomain.ball(1.0)
     for k, d in ((300, 24), (400, 27)):
         assert ball_capacity(k) == d
-        assert ech_capacity_toric(b1, k) == d, k
+        assert toric_capacity_detail(b1, k)[0] == d, k
     expect = weight_sequence(1, 2, 200)[200]
-    assert ech_capacity_toric(ToricDomain.ellipsoid(1.0, 2.0), 200) == expect
+    assert toric_capacity_detail(ToricDomain.ellipsoid(1.0, 2.0), 200)[0] == expect
 
 
 def test_capacity_matches_dfs_oracle_property():
@@ -452,7 +457,7 @@ def test_near_tie_capacities_match_search():
     for spec in ("ellipsoid:1,1.000001", "ellipsoid:1.000001,1",
                  "polygon:1.000001,0;0,1"):
         dom = parse_domain(spec)
-        for k in range(1, 20):
+        for k in list(range(1, 20)) + [150]:
             value, witness = toric_capacity_detail(dom, k)
             oracle_value, oracle_witness = naive_min_action_search(dom, 2 * k, 0, False)
             assert value == oracle_value, (spec, k)
@@ -460,19 +465,28 @@ def test_near_tie_capacities_match_search():
                 format_convex_generator(oracle_witness), (spec, k)
 
 
+def test_near_tie_capacity_at_k_300_frozen():
+    # frozen from the replay that walked the whole search tree on every
+    # near tie, before it skipped the lists that cannot beat its incumbent
+    value, witness = toric_capacity_detail(parse_domain("ellipsoid:1,1.000001"), 300)
+    text = "%r\t%s" % (value, format_convex_generator(witness))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "bfd3b9e71442ab73c661f8a11af25f1bc37b2626ac5c2b0a3b75539f4de51226"
+
+
 def test_toric_capacity_witnesses_are_consistent():
     b1 = ToricDomain.ball(1.0)
     for k in range(1, 12):
         value, witness = toric_capacity_detail(b1, k)
         assert cg_grading(witness) == 2 * k
-        assert cg_h_count(witness) == 0
+        assert h_count(witness) == 0
         assert abs(support_action(b1, witness) - value) < 1e-12
-        assert abs(ech_capacity_toric(b1, k) - value) < 1e-12
+        assert abs(toric_capacity_detail(b1, k)[0] - value) < 1e-12
 
 
 def test_toric_capacity_rejects_negative_index():
     with pytest.raises(ValueError):
-        ech_capacity_toric(ToricDomain.ball(1.0), -1)
+        toric_capacity_detail(ToricDomain.ball(1.0), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +535,7 @@ def test_h_zero_search_matches_naive_search():
     for k in (2, 5):
         naive = naive_convex_min_action(poly, 2 * k, 0, False,
                                         dir_cap=6, mult_cap=8)
-        assert abs(ech_capacity_toric(poly, k) - naive) < 1e-9, k
+        assert abs(toric_capacity_detail(poly, k)[0] - naive) < 1e-9, k
 
 
 def test_search_matches_naive_search_property():
@@ -556,7 +570,7 @@ def test_search_matches_naive_search_property():
             assert abs(value - naive) < 1e-9, (dom.describe(), i_target, xy_bound)
             assert cg_grading(witness) == i_target
             assert abs(support_action(dom, witness) - value) < 1e-12
-            h = cg_h_count(witness)
+            h = h_count(witness)
             if flexible:
                 assert 2 * (cg_x(witness) + cg_y(witness)) - h >= 2 * xy_bound
             else:
@@ -608,9 +622,9 @@ def test_leq_relation_cases():
 
 
 def test_toric_multiplicity():
-    assert toric_multiplicity(parse_path("H-;e(0,-1);e(1,0);e(0,1)^2")) == 4
-    assert toric_multiplicity(parse_path("e(0,-1);e(1,0)^2;e(0,1)")) == 4
-    assert toric_multiplicity(parse_path("0")) == 0
+    assert arrow_count(parse_path("H-;e(0,-1);e(1,0);e(0,1)^2")) == 4
+    assert arrow_count(parse_path("e(0,-1);e(1,0)^2;e(0,1)")) == 4
+    assert arrow_count(parse_path("0")) == 0
 
 
 # ---------------------------------------------------------------------------
