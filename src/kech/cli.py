@@ -77,11 +77,18 @@ KMAX_LIMIT = 400
 
 #: Largest k the command line accepts for cap-toric.  toric_capacity_detail
 #: ends within a minute up to here on a 2-core Xeon with Python 3.11: 34 to
-#: 49 s at k = 2000 on balls, ellipsoids and quadrilaterals, 25 s at 1700.
-#: Near-tie domains, where a generator sits 1e-6 above the optimum, can take
-#: longer: on ellipsoid:1,1.000001 in process, 2.1 s at k = 300, 43 s at
-#: 1000, and k = 2000 had not ended after 10 minutes.
+#: 49 s at k = 2000 on balls, ellipsoids and quadrilaterals, 25 s at 1700,
+#: and 19 to 22 s on the near tie ellipsoid:1,1.000001 in a child process.
 K_LIMIT = 2000
+
+#: Least largest coordinate, max(support(1, 0), support(0, 1)), of a
+#: domain the command line accepts for cap-toric at k >= 1.  The replay's
+#: margin (1e-6) and rounding rules are absolute, so on a domain scaled
+#: down far enough its sweeps keep nearly every state.  In child processes
+#: at k = 2000 on a 2-core Xeon with Python 3.11: at the floor, ball:1e-4
+#: 19 s and the quadrilateral 1.1,0;0.7,0.63;0,1.05 scaled by 1e-4 26 s;
+#: that quadrilateral scaled by 1e-5 74 s and 1.2 GiB peak RSS.
+TORIC_SIZE_FLOOR = 1e-4
 
 #: Largest kmax the command line accepts for gromov.  gromov_upper takes
 #: 16 to 17 s at kmax = 1000 on a 2-core Xeon with Python 3.11 (1.4 s at
@@ -251,14 +258,14 @@ def _within_reach(name: str, value: float, limit: float) -> None:
 def _cmd_capacity(args):
     if args.k is None and args.kmax is None:
         raise _UsageError("capacity needs --k or --kmax")
-    _within_reach("kmax", args.kmax if args.kmax is not None else args.k,
-                  KMAX_LIMIT)
     if args.kmax is not None:
+        _within_reach("kmax", args.kmax, KMAX_LIMIT)
         start = args.k if args.k is not None else 0
         if start < 0 or args.kmax < start:
             raise ValueError("need 0 <= k <= kmax")
         results = capacity_series(args.kmax)[start:]
     else:
+        _within_reach("k", args.k, KMAX_LIMIT)
         results = [capacity(args.k)]
     rows = [(result.k, result.value, format_path(result.witness))
             for result in results]
@@ -276,6 +283,11 @@ def _cmd_weyl(args):
 def _cmd_cap_toric(args):
     domain = parse_domain(args.domain)
     _within_reach("k", args.k, K_LIMIT)
+    size = max(domain.support(1.0, 0.0), domain.support(0.0, 1.0))
+    if args.k >= 1 and size < TORIC_SIZE_FLOOR:
+        raise ValueError("domain %s is out of reach: its largest coordinate "
+                         "%r is below %r, the least accepted"
+                         % (domain.describe(), size, TORIC_SIZE_FLOOR))
     value, witness = toric_capacity_detail(domain, args.k)
     row = (domain.describe(), args.k, value, format_convex_generator(witness))
     return (("domain", "k", "value", "witness"), [row], EXIT_OK)

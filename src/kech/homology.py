@@ -64,8 +64,9 @@ def barcode(max_degree: int, max_action: float):
     order = sorted(((action(path), k, path) for k in sl.degrees()
                     for path in sl.generators(k)), key=lambda cell: cell[0])
     index = {path: i for i, (_, _, path) in enumerate(order)}
-    # one set of validated paths and one memo of move replacements
-    checked, splices = {}, {}
+    # one memo of move replacements; every path is validated again, which
+    # costs less than looking it up in a growing memo
+    splices = {}
     reduced = {}  # lowest set bit -> the reduced column that owns it
     killer = {}   # lowest set bit -> index of that column
     # a stable sort: degrees from the top, filtration order within each
@@ -74,7 +75,7 @@ def barcode(max_degree: int, max_action: float):
             continue
         path = order[j][2]
         bits = 0
-        for term in differential(path, checked, splices):
+        for term in differential(path, None, splices):
             if term not in index:
                 raise AssertionError(
                     "differential left the action slice: %s -> %s"

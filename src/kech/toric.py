@@ -27,12 +27,13 @@ of a prefix state.  A depth-first search is then replayed over the states
 whose least action plus that bound is within v* + 1e-6 only, with the
 search's witness rule (seeds first, the same child order, a new incumbent
 only when 1e-12 better).  A replay that meets a generator at its cutoff
-runs again with no cutoff; ``toric_dp.replay`` gives the argument.
+runs again with no cutoff, over the same forward sweep; ``toric_dp.replay``
+gives the argument.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from math import gcd, inf, isfinite
 from typing import NamedTuple
 
@@ -52,7 +53,7 @@ from .paths import (
     pair_count,
     validate,
 )
-from .toric_dp import MARGIN, replay
+from .toric_dp import replay
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +547,11 @@ def toric_capacity_detail(domain: ToricDomain, k: int):
         return 0.0, EMPTY_CONVEX
     i_target = 2 * k
     seeds = [(c, _seed_action(domain, c)) for c in _seed_classes(i_target)]
-    # the classes in steepness order, leaving out any dearer than the
-    # sweeps' action bound
-    ceiling = min(u for _, u in seeds) + 2 * MARGIN
-    moves = [(a, b, cost) for b, alist, costs, _, _ in _pool_by_height(domain, i_target)
-             for a, cost in zip(alist, costs) if cost <= ceiling]
-    moves.sort(key=lambda move: move[1] / move[0])
-    moves = ([(1, 0, domain.support(0.0, 1.0))] + moves
-             + [(0, 1, domain.support(1.0, 0.0))])
+    # every class of the pool in the search's child order, read once by replay
+    moves = chain([(1, 0, domain.support(0.0, 1.0))],
+                  ((a, b, cost) for b, alist, costs, _, _ in _pool_by_height(domain, i_target)
+                   for a, cost in zip(alist, costs)),
+                  [(0, 1, domain.support(1.0, 0.0))])
     value, classes = replay(moves, i_target + 2, seeds)
     if classes is None:
         raise AssertionError("toric capacity search lost its own seed family")

@@ -9,7 +9,7 @@ the all-elliptic generators of grading 2k are the lists ending at
 D = 2k + 2.  Read from the steep end, with a and b swapped, the same sweep
 gives the least action of every suffix (y, D_s), and a prefix (x, D) joined
 to a suffix (y, D_s) encloses D + D_s - 2 + 2xy doubled points.  The suffix
-table therefore bounds from below the action of every completion of a
+sweep therefore bounds from below the action of every completion of a
 prefix state, and a depth-first search over class lists is replayed over
 only the states near the optimum, to pick the witness it would pick.
 """
@@ -95,60 +95,54 @@ def least_completion(layers, y: int, need: int) -> float:
     return least
 
 
-def completion_bound(moves, roof: int, incumbent: float, margin: float):
-    """(cutoff, table, width) for class lists in steepness order ending at D = roof.
+def completion_bound(moves, roof: int, prefix, incumbent: float, margin: float):
+    """(cutoff, suffix) for class lists in steepness order ending at D = roof.
 
-    incumbent is the action of some such list.  The forward sweep's least
-    action at D = roof is the optimum v*, and cutoff = v* + margin.
-    C(x, D) = min over y of S(y, roof + 2 - D - 2xy), with S the suffix
-    sweep, is at most the action of any completion of the prefix state
-    (x, D).  table[x * width + D] = (least action, C(x, D)) holds only the
-    states whose least action plus C(x, D) is within the cutoff: the states
-    that some list of action within the cutoff passes through.  The prefix
-    sweep drops states above incumbent + 2 * MARGIN, and the suffix sweep
-    those whose action plus their least completion in the prefix sweep
-    exceeds min(cutoff + margin, incumbent + 2 * MARGIN).  No list of
-    action at most the incumbent passes through a dropped state, nor, at
-    margin = MARGIN, any list within the cutoff: v* is at most the
-    incumbent, so both bounds lie about MARGIN above the cutoff, and the
-    first one is the smaller up to rounding.  At margin = inf the table
-    holds every state that a list of action at most the incumbent passes
-    through.
+    prefix is the sweep of moves up to incumbent + 2 * MARGIN, with
+    incumbent the action of some such list.  Its least action at D = roof
+    is the optimum v*, and cutoff = v* + margin.  C(x, D) = min over y of
+    S(y, roof + 2 - D - 2xy), with S the suffix sweep (least_completion),
+    is at most the action of any completion of the prefix state (x, D).  A
+    list of action within the cutoff passes only through prefix states
+    whose least action plus C(x, D) is within the cutoff.  The prefix sweep
+    drops states above incumbent + 2 * MARGIN, and the suffix sweep those
+    whose action plus their least completion in the prefix sweep exceeds
+    min(cutoff + margin, incumbent + 2 * MARGIN).  No list of action at
+    most the incumbent passes through a dropped state, nor, at margin =
+    MARGIN, any list within the cutoff: v* is at most the incumbent, so
+    both bounds lie about MARGIN above the cutoff, and the first one is the
+    smaller up to rounding.  At margin = inf the sweeps keep every state
+    that a list of action at most the incumbent passes through.
     """
-    prefix = sweep(moves, roof, incumbent + 2 * MARGIN)
     cutoff = min(layer[roof] for layer in prefix if roof in layer) + margin
     suffix = sweep([(b, a, cost) for a, b, cost in reversed(moves)], roof,
                    min(cutoff + margin, incumbent + 2 * MARGIN), prefix)
-    width = roof + 1
-    table = {}
-    for x, layer in enumerate(prefix):
-        for doubled, act in layer.items():
-            least = least_completion(suffix, x, roof + 2 - doubled)
-            if act + least <= cutoff:
-                table[x * width + doubled] = (act, least)
-    return cutoff, table, width
+    return cutoff, suffix
 
 
 def replay(moves, roof: int, seeds):
     """The h = 0 search's answer, from a replay over the states near its optimum.
 
-    moves lists (a, b, cost) in steepness order; seeds lists the (classes,
-    action) the search offers before it starts, in its order.  The search
+    moves yields (a, b, cost) in the search's child order: horizontal, sloped
+    by height then width, vertical.  seeds lists the (classes, action) the
+    search offers before it starts, in its order.  The search
     (``tests/_naive.py::naive_min_action_search``, a copy kept as oracle)
     offers the seeds, then walks class lists depth first: children in the
-    order horizontal, sloped by height then width, vertical, each strictly
-    steeper than the last class and with t = 1, 2, ...  A child is visited
-    when its doubled count is at most roof and its action u is below the
-    incumbent minus 1e-12; a list ending at D = roof becomes the incumbent
-    when its action is below the incumbent minus 1e-12.  The replay walks
-    the same tree in the same order with one more condition: the child's
-    state is in the table of completion_bound and u plus its bound C is
-    within the cutoff.  Every list below a child that fails it has action
-    above cutoff - s, with s the rounding between summing a list's costs in
-    two orders (under 1e-11 for actions up to 1e3; the argument needs
-    s + 1e-12 < 2e-9).  The replay also skips a child when u + C exceeds
-    its incumbent plus 2e-9: every list below it costs more than the
-    incumbent + 2e-9 - s, so none could become the incumbent.
+    order of moves, each strictly steeper than the last class and with
+    t = 1, 2, ...  A child is visited when its doubled count is at most roof
+    and its action u is below the incumbent minus 1e-12; a list ending at
+    D = roof becomes the incumbent when its action is below the incumbent
+    minus 1e-12.  The replay walks the same tree in the same order with one
+    more condition: the child's state is in the prefix sweep and its least
+    action there plus its bound C (see completion_bound) is within the
+    cutoff, and so is u + C.  Every list below a child that fails it has
+    action above cutoff - s, with s the rounding between summing a list's
+    costs in two orders (under 1e-11 for actions up to 1e3; the argument
+    needs s + 1e-12 < 2e-9).  The replay also skips a child when u + C
+    exceeds its incumbent plus 2e-9: every list below it costs more than
+    the incumbent + 2e-9 - s, so none could become the incumbent.  A class
+    dearer than the least seed's action + 2 * MARGIN lies on no list either
+    sweep keeps, and is dropped.
 
     The replay returns the search's answer.  Call a list deep when its
     action is at most cutoff - 2e-9; the optimum, MARGIN below the cutoff,
@@ -169,25 +163,29 @@ def replay(moves, roof: int, seeds):
     When the first pass does offer a list within 2e-9 of its cutoff, the
     replay runs once more with the cutoff at infinity, and u + C never
     exceeds it.  Past its seeds the search offers no list at or above the
-    least seed's action, and the table then holds every state that a list
-    below it passes through; a state's entry in the prefix sweep is at
-    most the action u of any list that reaches it, summed in the same
-    order.  So the second walk is the search's own tree in its order, less
-    subtrees in which no list can become the incumbent, and its answer the
-    search's answer.
+    least seed's action, and every state that a list below it passes
+    through is then kept; a state's entry in the prefix sweep is at most
+    the action u of any list that reaches it, summed in the same order.  So
+    the second walk is the search's own tree in its order, less subtrees in
+    which no list can become the incumbent, and its answer the search's
+    answer.
 
     Returns (action, classes) with classes the winning [(a, b, t)].
     """
-    # the search's child order: horizontal (b = 0) first, vertical (a = 0) last
-    order = sorted(moves, key=lambda move: (move[0] == 0, move[1], move[0]))
+    incumbent = min(u for _, u in seeds)
+    order = [move for move in moves if move[2] <= incumbent + 2 * MARGIN]
+    steep = sorted(order, key=lambda move: move[1] / move[0] if move[0] else inf)
+    prefix = sweep(steep, roof, incumbent + 2 * MARGIN)
     for margin in (MARGIN, inf):
-        cutoff, table, width = completion_bound(
-            moves, roof, min(u for _, u in seeds), margin)
-        edges = {}
-        for key, (act, _) in table.items():
-            x, doubled = divmod(key, width)
-            budget = cutoff - act
-            out = edges[key] = []
+        cutoff, suffix = completion_bound(steep, roof, prefix, incumbent, margin)
+        bounds = [{} for _ in prefix]  # C(x, D) of each prefix state met
+        kids = [{} for _ in prefix]  # the kept children of each state walked
+
+        def children(x, doubled):
+            """[(a, b, t, step, x', D', C(x', D'))] of the kept children of
+            (x, D), in the search's order."""
+            out = kids[x][doubled] = []
+            budget = cutoff - prefix[x][doubled]
             for a, b, cost in order:
                 lin = 2 * b * x + 1 + a + b
                 t = 1
@@ -195,10 +193,19 @@ def replay(moves, roof: int, seeds):
                     nd = doubled + t * lin + a * b * t * t
                     if nd > roof:
                         break
-                    child = (x + a * t) * width + nd
-                    if child in table:
-                        out.append((a, b, t, t * cost, child))
+                    nx = x + a * t
+                    act = prefix[nx].get(nd)
+                    if act is not None:
+                        try:
+                            least = bounds[nx][nd]
+                        except KeyError:
+                            least = bounds[nx][nd] = least_completion(
+                                suffix, nx, roof + 2 - nd)
+                        if act + least <= cutoff:
+                            out.append((a, b, t, t * cost, nx, nd, least))
                     t += 1
+            return out
+
         best = inf
         found = None
         near = False
@@ -211,24 +218,30 @@ def replay(moves, roof: int, seeds):
                 best = used
                 found = list(chosen)
 
-        def walk(key, last_a, last_b, used, chosen):
-            if key % width == roof:
+        def walk(x, doubled, last_a, last_b, used, chosen):
+            if doubled == roof:
                 offer(used, chosen)
                 return
-            for a, b, t, step, child in edges[key]:
+            if not last_a:
+                return  # no class is strictly steeper than the vertical one
+            try:
+                out = kids[x][doubled]
+            except KeyError:
+                out = children(x, doubled)
+            for a, b, t, step, nx, nd, least in out:
                 if b * last_a <= last_b * a:
                     continue
                 new_used = used + step
-                least = new_used + table[child][1]
+                least += new_used
                 if new_used >= best - 1e-12 or least > cutoff or least > best + 2e-9:
                     continue
                 chosen.append((a, b, t))
-                walk(child, a, b, new_used, chosen)
+                walk(nx, nd, a, b, new_used, chosen)
                 chosen.pop()
 
         for classes, action in seeds:
             offer(action, classes)
-        walk(2, 1, -1, 0.0, [])  # the root (0, 2), below horizontal
+        walk(0, 2, 1, -1, 0.0, [])  # the root (0, 2), below horizontal
         if not near:
             break
     return best, found

@@ -258,6 +258,18 @@ def test_out_of_reach_kmax_fails_fast(capsys, monkeypatch, argv):
     assert "out of reach" in err and str(KMAX_LIMIT) in err
 
 
+def test_out_of_reach_k_names_the_flag_given(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the capacity search ran")
+
+    monkeypatch.setattr(kech.spectrum, "_bucket_minima", refuse)
+    code, out, err = run(capsys, "capacity", "--k", str(KMAX_LIMIT + 1))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "k %d is out of reach" % (KMAX_LIMIT + 1) in err
+    assert "at k %d," % KMAX_LIMIT in err and "kmax" not in err
+
+
 def test_weyl_rows(capsys):
     code, out, _ = run(capsys, "--format", "csv", "weyl", "--kmax", "3")
     assert code == EXIT_OK
@@ -283,6 +295,39 @@ def test_out_of_reach_toric_k_fails_fast(capsys, monkeypatch):
     assert code == EXIT_INPUT
     assert out == ""
     assert "out of reach" in err and str(kech.cli.K_LIMIT) in err
+
+
+def test_toric_domain_below_the_floor_fails_fast(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the toric search ran")
+
+    monkeypatch.setattr(kech.toric, "admissible_min_action", refuse)
+    monkeypatch.setattr(kech.toric, "replay", refuse)
+    # the bench-style quadrilateral scaled by 1e-5 takes 74 s at k = 2000
+    for domain in ("polygon:0,0", "polygon:1.1e-5,0;0.7e-5,0.63e-5;0,1.05e-5"):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "cap-toric", "--domain", domain, "--k", "500")
+        assert time.monotonic() - t0 < 1.0
+        assert code == EXIT_INPUT, domain
+        assert out == ""
+        assert "out of reach" in err and repr(kech.cli.TORIC_SIZE_FLOOR) in err
+    # the index check comes first
+    code, out, err = run(capsys, "cap-toric", "--domain", "polygon:0,0", "--k", "-1")
+    assert code == EXIT_INPUT and out == ""
+    assert "nonnegative" in err and "out of reach" not in err
+
+
+@pytest.mark.parametrize("domain, k, row", [
+    ("ball:%r" % kech.cli.TORIC_SIZE_FLOOR, "1", [repr(kech.cli.TORIC_SIZE_FLOOR), "e(1,0)"]),
+    # a thin domain with a unit side: only its cheap vertical class fits
+    ("ellipsoid:1e-5,1", "500", ["0.005", "e(0,1)^500"]),
+    # k = 0 needs no search, on any domain
+    ("polygon:0,0", "0", ["0.0", "0"]),
+])
+def test_toric_domains_the_floor_accepts(capsys, domain, k, row):
+    code, out, err = run(capsys, "cap-toric", "--domain", domain, "--k", k)
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[-1].split()[2:] == row
 
 
 def test_out_of_reach_gromov_kmax_fails_fast(capsys, monkeypatch):

@@ -474,6 +474,36 @@ def test_near_tie_capacity_at_k_300_frozen():
         "bfd3b9e71442ab73c661f8a11af25f1bc37b2626ac5c2b0a3b75539f4de51226"
 
 
+def test_near_tie_capacity_at_k_400_frozen():
+    # frozen from the replay that built a completion table and its edges
+    # ahead of the walk, where it took 3.2 s
+    value, witness = toric_capacity_detail(parse_domain("ellipsoid:1,1.000001"), 400)
+    text = "%r\t%s" % (value, format_convex_generator(witness))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a96853b09d210863e4f60e153fd2dba58a3a03b670859747f03283550ee8c715"
+
+
+def test_replay_sweeps_the_prefix_once(monkeypatch):
+    # at k = 3 the replay reruns (test_replay_reruns_when_a_generator_sits_
+    # at_its_cutoff); both passes read one prefix sweep, and each sweeps its
+    # own suffix
+    sweep = kech.toric_dp.sweep
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(kech.toric_dp, "sweep", counting)
+    dom = ToricDomain.ellipsoid(1.0, 1.000001)
+    assert toric_capacity_detail(dom, 3) == naive_min_action_search(dom, 6, 0, False)
+    assert len(calls) == 3
+
+
+def test_the_replay_margin_lives_in_toric_dp():
+    assert not hasattr(kech.toric, "MARGIN")
+
+
 def test_toric_capacity_witnesses_are_consistent():
     b1 = ToricDomain.ball(1.0)
     for k in range(1, 12):
