@@ -70,10 +70,11 @@ D2CHECK_ACTION_LIMIT = 14
 HOMOLOGY_DEGREE_LIMIT = 25
 
 #: Largest index the command line accepts for capacity and weyl.
-#: capacity_series(kmax) ends within a minute up to here on a 2-core Xeon
-#: with Python 3.11, and its time grows about as kmax^3.3 (0.35 s at 100,
-#: 4 s at 200, 16 s at 300, 43 s at 400).
-KMAX_LIMIT = 400
+#: capacity --kmax ends within a minute up to here on a 2-core Xeon with
+#: Python 3.11: 49 s at 380 in two child-process runs, against 57 to 66 s
+#: at 400 (22 to 24 s at 300).  The time grows about as kmax^3.4
+#: (capacity_series takes 0.6 s at 100 and 6 s at 200 in process).
+KMAX_LIMIT = 380
 
 #: Largest k the command line accepts for cap-toric.  toric_capacity_detail
 #: ends within a minute up to here on a 2-core Xeon with Python 3.11: 34 to

@@ -30,12 +30,21 @@ and rises by 0.5 only while a bucket stays empty, never past 2 kmax, where
 e(0,-1)^k;e(0,1)^k fills every bucket.  Each pass holds every h-free
 generator up to its cap, so a bucket it fills already has its global minimum.
 
-Witnesses: least action, then least spec.  Float actions within TOL of a
-bucket's least float are compared exactly, as sums of integer multiples of
-square roots of squarefree integers: these are linearly independent over Q,
-so two actions are equal exactly when those sums agree term by term, and an
-unequal pair is ordered by interval evaluation.  The candidates are rebuilt
-from records kept per state, one per improvement or tie of its cost.
+Witnesses: least action, then least spec.  The table keeps only each
+state's least float cost, and the candidates come from a backward search
+from each closing within TOL of its bucket's least total.  From a state with
+bound B on the cost of its classes (at first the least total less the
+closing cost), it follows t copies of each direction d_i = (q, p) earlier
+than the last one taken whose predecessor is in the table with least cost +
+t |d_i| <= B + TOL, with bound B - t |d_i|; a state's cost is at least its x,
+so that needs q <= x and t (|d_i| - q) <= B - x + TOL.  Each prefix state's
+least cost is at most a list's own float cost up to it, so the search yields
+every slope-ordered list that closes within its bound, among them every
+list of exactly minimal action, and the least of them is the witness.
+Float actions are compared exactly, as sums of integer multiples of square
+roots of squarefree integers: these are linearly independent over Q, so two
+actions are equal exactly when those sums agree term by term, and an
+unequal pair is ordered by interval evaluation.
 
 Growth: by the ECH volume property c_k^2/k tends to
 2 * REFERENCE_CONTACT_VOLUME = 2*pi, and it never drops below a certified
@@ -143,23 +152,18 @@ def _dp_pass(kmax: int, cap: float) -> dict:
     gmax = 2 * kmax
     dirs = _directions(cap)
     norms = [sqrt(q * q + p * p) for q, p in dirs]
-    # layers[x] maps the packed (y, g) of a state to [cost, start, i, t, u,
-    # ...]: its least cost, where the records of that cost start (0 once a
-    # move has started from them), then one record per improvement or tie,
-    # each saying that t copies of dirs[i] reached the state at cost u from
-    # the state's least cost before direction i
+    # layers[x] maps the packed (y, g) of a state to its least cost
     yoff = int(budget) + 1
     span = gmax + 1
     layers = [{} for _ in range(int(budget) + 1)]
-    layers[0][yoff * span] = [0.0, 2, -1, 0, 0.0]
+    layers[0][yoff * span] = 0.0
     for i, (q, p) in enumerate(dirs):
         norm = norms[i]
         step = p * span
         # every move raises x, so walking x downward reads each state before
         # this direction can write it; a state's cost is at least its x
         for x in range(int(budget - norm), -1, -1):
-            for key, cell in layers[x].items():
-                used = cell[0]
+            for key, used in layers[x].items():
                 y = key // span - yoff
                 g = key % span
                 rise = x * p - y * q + 1
@@ -171,27 +175,14 @@ def _dp_pass(kmax: int, cap: float) -> dict:
                     layer = layers[x + t * q]
                     key2 = key + t * (step + rise)
                     old = layer.get(key2)
-                    if old is None:
-                        layer[key2] = [u, 2, i, t, u]
-                        cell[1] = 0
-                    elif u <= old[0] + TOL:
-                        if u < old[0] - TOL:
-                            # a new least cost: drop the records of the last
-                            # one unless a move has started from them
-                            if old[1]:
-                                del old[old[1]:]
-                            old[1] = len(old)
-                        if u < old[0]:
-                            old[0] = u
-                        old += i, t, u
-                        cell[1] = 0
+                    if old is None or u < old:
+                        layer[key2] = u
                     t += 1
 
     # close every state; buckets[k] = [least total, closings within TOL]
     buckets = {}
     for x, layer in enumerate(layers):
-        for key, cell in layer.items():
-            used = cell[0]
+        for key, used in layer.items():
             y = key // span - yoff
             g = key % span
             for sp in (0, 1):
@@ -216,28 +207,35 @@ def _dp_pass(kmax: int, cap: float) -> dict:
                             entry[1].append(closing)
                         m += 1
 
+    excess = [norm - q for (q, _), norm in zip(dirs, norms)]
+
     def chains(x, key, limit, bound):
-        """Class lists reaching a state through records of index < limit."""
+        """Class lists of index < limit reaching a state within bound + TOL."""
+        if not x:
+            yield ()
+            return
         y = key // span - yoff
-        cell = layers[x][key]
-        for j in range(2, len(cell), 3):
-            i, t, u = cell[j:j + 3]
-            if i >= limit or u > bound:
-                continue
-            if i < 0:
-                yield ()
-                continue
+        slack = bound - x + TOL
+        for i in [i for i in range(limit)
+                  if excess[i] <= slack and dirs[i][0] <= x]:
             q, p = dirs[i]
-            pre = key - t * (p * span + x * p - y * q + 1)
-            for chain in chains(x - t * q, pre, i, bound - t * norms[i]):
-                yield chain + ((q, p, t),)
+            norm = norms[i]
+            move = p * span + x * p - y * q + 1
+            t = 1
+            while t * q <= x and t * excess[i] <= slack:
+                pre = key - t * move
+                used = layers[x - t * q].get(pre)
+                if used is not None and used + t * norm <= bound + TOL:
+                    for chain in chains(x - t * q, pre, i, bound - t * norm):
+                        yield chain + ((q, p, t),)
+                t += 1
 
     witnesses = {}
     for k, (least, closings) in buckets.items():
         best = None
         for total, x, key, sp, ep, m, n in closings:
             cost = sp + ep + m + n
-            for chain in chains(x, key, len(dirs), least + TOL - cost):
+            for chain in chains(x, key, len(dirs), least - cost):
                 path = build_path(sp == 1, ep == 1, m, n,
                                   [EdgeGroup(q, p, t, False) for q, p, t in chain])
                 exact, spec = _exact_action(path), format_path(path)

@@ -26,9 +26,9 @@ sweep from the steep end bounds from below the action of every completion
 of a prefix state.  A depth-first search is then replayed over the states
 whose least action plus that bound is within v* + 1e-6 only, with the
 search's witness rule (seeds first, the same child order, a new incumbent
-only when 1e-12 better).  A replay that meets a generator at its cutoff
-runs again with no cutoff, over the same forward sweep; ``toric_dp.replay``
-gives the argument.
+only when INCUMBENT_GAP = 1e-12 better).  A replay that meets a generator
+at its cutoff runs again with no cutoff, over the same forward sweep;
+``toric_dp.replay`` gives the argument.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .paths import (
     pair_count,
     validate,
 )
-from .toric_dp import replay
+from .toric_dp import INCUMBENT_GAP, replay
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +459,7 @@ def _admissible_search(buckets, domain: ToricDomain, i_target: int, xy_bound: in
         h = doubled - 2 - i_target
         if h < 0 or h % 2 or h > n_sloped or 2 * (x + y) - h < 2 * xy_bound:
             return
-        if used < best_val - 1e-12:
+        if used < best_val - INCUMBENT_GAP:
             groups = []
             flags_left = h
             for a, b, t in chosen:
@@ -485,7 +485,7 @@ def _admissible_search(buckets, domain: ToricDomain, i_target: int, xy_bound: in
         t = 1
         while True:
             new_used = used + t * cost
-            if new_used >= best_val - 1e-12:
+            if new_used >= best_val - INCUMBENT_GAP:
                 break
             ndoubled = doubled + t * lin + a * b * t * t
             if ndoubled > roof + cap:
@@ -513,7 +513,7 @@ def _admissible_search(buckets, domain: ToricDomain, i_target: int, xy_bound: in
         # nothing steeper than the last class
         start = last_b // last_a if last_b > 0 else 0
         for b, alist, costs, floors, least in islice(buckets, start, None):
-            if (b > bmax or used + least >= best_val - 1e-12
+            if (b > bmax or used + least >= best_val - INCUMBENT_GAP
                     or slack - 2 * b * x < g_floor):
                 break
             room = roof + cap_s - doubled - 1 - b * (2 * x + 1)
@@ -524,7 +524,7 @@ def _admissible_search(buckets, domain: ToricDomain, i_target: int, xy_bound: in
                 if limit < amax:
                     amax = limit
             for pos, a in enumerate(alist):
-                if (a > amax or used + floors[pos] >= best_val - 1e-12
+                if (a > amax or used + floors[pos] >= best_val - INCUMBENT_GAP
                         or slack - (a - 1) * (b - 1) - 2 * b * x < g_floor):
                     break
                 descend(a, b, costs[pos], 1, chosen, x, y, doubled, n_sloped, used)

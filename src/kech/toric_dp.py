@@ -21,6 +21,9 @@ from math import inf
 #: Margin above the optimum within which replay's first pass keeps every state.
 MARGIN = 1e-6
 
+#: A list becomes the searches' incumbent only when it is this much cheaper.
+INCUMBENT_GAP = 1e-12
+
 
 def sweep(moves, roof: int, bound: float, other=None):
     """Least action of every state (x, D) over class lists in the order moves.
@@ -130,16 +133,17 @@ def replay(moves, roof: int, seeds):
     offers the seeds, then walks class lists depth first: children in the
     order of moves, each strictly steeper than the last class and with
     t = 1, 2, ...  A child is visited when its doubled count is at most roof
-    and its action u is below the incumbent minus 1e-12; a list ending at
-    D = roof becomes the incumbent when its action is below the incumbent
-    minus 1e-12.  The replay walks the same tree in the same order with one
-    more condition: the child's state is in the prefix sweep and its least
-    action there plus its bound C (see completion_bound) is within the
-    cutoff, and so is u + C.  Every list below a child that fails it has
-    action above cutoff - s, with s the rounding between summing a list's
-    costs in two orders (under 1e-11 for actions up to 1e3; the argument
-    needs s + 1e-12 < 2e-9).  The replay also skips a child when u + C
-    exceeds its incumbent plus 2e-9: every list below it costs more than
+    and its action u is below the incumbent minus INCUMBENT_GAP; a list
+    ending at D = roof becomes the incumbent when its action is below the
+    incumbent minus INCUMBENT_GAP.  The replay walks the same tree in the
+    same order with one more condition: the child's state is in the prefix
+    sweep and its least action there plus its bound C (see completion_bound)
+    is within the cutoff, and so is u + C.  Every list below a child that
+    fails it has action above cutoff - s, with s the rounding between
+    summing a list's costs in two orders (under 1e-11 for actions up to
+    1e3; the argument needs s + INCUMBENT_GAP < 2e-9).  The replay also
+    skips a child when u + C exceeds its incumbent plus 2e-9: every list
+    below it costs more than
     the incumbent + 2e-9 - s, so none could become the incumbent.  A class
     dearer than the least seed's action + 2 * MARGIN lies on no list either
     sweep keeps, and is dropped.
@@ -152,7 +156,7 @@ def replay(moves, roof: int, seeds):
     of those lies within 2e-9 of the cutoff, the search's incumbents before
     it lie above cutoff - s too.  Both take the first deep list.  From it on
     both hold the same incumbent and make the same moves, since every list
-    the replay skips lies more than 1e-12 above it.  The argument reads
+    the replay skips lies more than INCUMBENT_GAP above it.  The argument reads
     the band within 2e-9 of the cutoff only before the first deep list;
     there the incumbent lies above cutoff + 2e-9, so the test against the
     incumbent skips only lists above cutoff + 4e-9 - s, outside the band,
@@ -214,7 +218,7 @@ def replay(moves, roof: int, seeds):
             nonlocal best, found, near
             if cutoff - 2e-9 < used <= cutoff + 2e-9:
                 near = True
-            if used < best - 1e-12:
+            if used < best - INCUMBENT_GAP:
                 best = used
                 found = list(chosen)
 
@@ -233,7 +237,8 @@ def replay(moves, roof: int, seeds):
                     continue
                 new_used = used + step
                 least += new_used
-                if new_used >= best - 1e-12 or least > cutoff or least > best + 2e-9:
+                if (new_used >= best - INCUMBENT_GAP or least > cutoff
+                        or least > best + 2e-9):
                     continue
                 chosen.append((a, b, t))
                 walk(nx, nd, a, b, new_used, chosen)

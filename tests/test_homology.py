@@ -148,20 +148,31 @@ def test_betti_matches_the_rank_oracle():
             assert alive == expect, (k, bound)
 
 
-def test_capacities_are_births_of_even_degree_classes():
-    # c_k is the action at which the degree-2k class is born; the other
-    # essential classes of degree 2k are born at the slice's own bound, where
-    # the classes that would kill them are cut off
-    bound = 16.0
+def _truncated_capacity_births(max_degree, bound, kmax):
+    """Check c_k against the essential births in degree 2k for k <= kmax.
+
+    c_k is the action at which the degree-2k class is born; the other
+    essential classes of degree 2k are born at the slice's own bound, where
+    the classes that would kill them are cut off.  Returns the k that have
+    such other classes.
+    """
     essential = {}
-    for degree, birth, death in barcode(21, bound):
+    for degree, birth, death in barcode(max_degree, bound):
         if death == math.inf:
             essential.setdefault(degree, []).append(birth)
     truncated = set()
-    for k, result in enumerate(capacity_series(10)):
+    for k, result in enumerate(capacity_series(kmax)):
         births = sorted(essential[2 * k])
         assert abs(births[0] - result.value) <= 1e-9, k
         assert all(abs(birth - bound) <= 1e-9 for birth in births[1:]), k
         if len(births) > 1:
             truncated.add(k)
-    assert truncated == {7, 8}
+    return truncated
+
+
+def test_capacities_are_births_of_even_degree_classes():
+    assert _truncated_capacity_births(21, 16.0, 10) == {7, 8}
+
+
+def test_capacities_are_births_of_even_degree_classes_up_to_k_14():
+    assert _truncated_capacity_births(29, 18.0, 14) == {8, 9}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -146,6 +147,15 @@ def test_growth_stays_between_floor_and_volume_limit():
         assert ratio <= 2.0 * math.pi + 0.3, res.k
         assert grading(res.witness) == 2 * res.k
     assert round(series[100].value, 4) == 24.3492
+
+
+def test_capacity_series_100_digest():
+    # frozen values and witnesses of c_0..c_100, written as the kmax 50
+    # digest of the acceptance gate is
+    rows = "\n".join("%d %r %s" % (res.k, res.value, format_path(res.witness))
+                     for res in capacity_series(100))
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "4977204f207144beb591a8e03b1e52d6e0f927f3886e99617742de8e3b95d680")
 
 
 def test_cap_rise_from_below_ends_at_the_same_series():

@@ -23,6 +23,7 @@ from kech.paths import (
     parse_path,
     validate,
 )
+from kech.spectrum import capacity_series
 from kech.toric import (
     EMPTY_CONVEX,
     CgClass,
@@ -343,6 +344,18 @@ def test_ball_capacities_equal_weight_sequence():
     for k in range(61):
         assert expect[k] == ball_capacity(k), k
         assert abs(toric_capacity_detail(b1, k)[0] - expect[k]) < 1e-9, k
+
+
+def test_capacity_ratio_against_the_ball_stops_at_1_707():
+    # the paper's point: over 1 <= k <= 100, c_k(D*K)/c_k(B(1)) stops at
+    # (2 + sqrt 2)/2, first reached at k = 3, while the combinatorial
+    # obstruction reaches width 1 (capacities of balls: Hutchings,
+    # arXiv:1005.2260)
+    ratios = [res.value / ball_capacity(res.k)
+              for res in capacity_series(100)[1:]]
+    least = min(ratios)
+    assert abs(least - (2.0 + math.sqrt(2.0)) / 2.0) < 1e-9
+    assert next(k for k, r in enumerate(ratios, 1) if r <= least + 1e-9) == 3
 
 
 def test_scaled_ball_capacities():
