@@ -8,33 +8,38 @@ input, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import io
-import json
 import math
 import sys
 
-from .census import generators_up_to_action, grading_slice
-from .diff import differential
-from .homology import betti_numbers, d_squared_report
-from .paths import (
-    action,
-    format_path,
-    grading,
-    grading_lattice,
-    pair_count,
-    parse_path,
-    total_class,
-    validate,
-)
-from .spectrum import capacity, capacity_series, weyl_series
-from .toric import (
-    embedding_obstructed,
-    format_convex_generator,
-    gromov_upper,
-    parse_domain,
-    toric_capacity_detail,
-)
+#: The defining module of each engine name the handlers call.  A name is
+#: imported on its first read as an attribute of this module (__getattr__
+#: below), so each command loads only the engines it calls.  Handlers read
+#: the names on _engines, the module object, so that a name set on kech.cli
+#: (a test's patch, the bench tracer's wrapper) is the one they call.
+_ENGINES = {name: module for module, names in (
+    ("census", "generators_up_to_action grading_slice"),
+    ("diff", "differential"),
+    ("homology", "betti_numbers d_squared_report"),
+    ("paths", "action format_path grading grading_lattice pair_count "
+              "parse_path total_class validate"),
+    ("spectrum", "capacity capacity_series weyl_series"),
+    ("toric", "embedding_obstructed format_convex_generator gromov_upper "
+              "parse_domain toric_capacity_detail"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    """An engine name of _ENGINES, imported from its module on first read."""
+    if name not in _ENGINES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = importlib.import_module("." + _ENGINES[name], __package__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+_engines = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,10 +69,11 @@ D2CHECK_ACTION_LIMIT = 14
 #: Largest degree bound the command line accepts for homology.  The slice
 #: is capped at grading max_degree + 1, so its scan stops at action
 #: max_degree + 3 (see kech.census) whatever the action bound.  At action
-#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 2.3 s and 37 MiB
-#: peak RSS at degree 25 in a child process (0.7 s at degree 20), about
-#: 85% of it in the scan.
-HOMOLOGY_DEGREE_LIMIT = 25
+#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 53 and 58 s and
+#: 2.2 GiB peak RSS at degree 45 in two child-process runs, against 65 s
+#: and 2.7 GiB at 46 (27 s and 729 MiB at 40, 4.8 s and 80 MiB at 30), its
+#: time growing about 1.2-fold and its memory 1.25-fold per degree.
+HOMOLOGY_DEGREE_LIMIT = 45
 
 #: Largest index the command line accepts for capacity and weyl.
 #: capacity --kmax ends within a minute up to here on a 2-core Xeon with
@@ -187,29 +193,31 @@ def _build_parser() -> _Parser:
 
 
 def _class_cell(path) -> str:
-    cls = total_class(path)
+    cls = _engines.total_class(path)
     return "(%d, %d, %d)" % (cls.n, cls.a, cls.b)
 
 
 def _cmd_validate(args):
-    path = parse_path(args.spec)
-    kind = validate(path)
-    return (("spec", "type"), [(format_path(path), kind)], EXIT_OK)
+    path = _engines.parse_path(args.spec)
+    kind = _engines.validate(path)
+    return (("spec", "type"), [(_engines.format_path(path), kind)], EXIT_OK)
 
 
 def _cmd_grade(args):
-    path = parse_path(args.spec)
-    kind = validate(path)
-    row = (format_path(path), kind, grading(path), grading_lattice(path),
-           action(path), _class_cell(path))
+    path = _engines.parse_path(args.spec)
+    kind = _engines.validate(path)
+    row = (_engines.format_path(path), kind, _engines.grading(path),
+           _engines.grading_lattice(path), _engines.action(path),
+           _class_cell(path))
     return (("spec", "type", "grading", "grading_lattice", "action", "class"),
             [row], EXIT_OK)
 
 
 def _cmd_diff(args):
-    path = parse_path(args.spec)
-    rows = [(format_path(term), grading(term), action(term))
-            for term in differential(path).terms()]
+    path = _engines.parse_path(args.spec)
+    rows = [(_engines.format_path(term), _engines.grading(term),
+             _engines.action(term))
+            for term in _engines.differential(path).terms()]
     return (("spec", "grading", "action"), rows, EXIT_OK)
 
 
@@ -223,9 +231,10 @@ def _cmd_enumerate(args):
     max_action = _action_bound(args)
     _within_reach("max-action", max_action, ENUMERATE_ACTION_LIMIT)
     if args.grading is None:
-        sl = generators_up_to_action(max_action)
+        sl = _engines.generators_up_to_action(max_action)
     else:
-        sl = grading_slice(args.grading, max_action)
+        sl = _engines.grading_slice(args.grading, max_action)
+    action = _engines.action
     rows = ((spec, degree, action(path)) for degree in sl.degrees()
             for spec, path in sl.per_degree[degree].items())
     return (("spec", "grading", "action"), rows, EXIT_OK)
@@ -234,7 +243,7 @@ def _cmd_enumerate(args):
 def _cmd_d2check(args):
     max_action = _action_bound(args)
     _within_reach("max-action", max_action, D2CHECK_ACTION_LIMIT)
-    violations = d_squared_report(max_action)
+    violations = _engines.d_squared_report(max_action)
     rows = [(spec, surv) for spec, survivors in violations for surv in survivors]
     return (("spec", "survivor"), rows,
             EXIT_OK if not rows else EXIT_INTERNAL)
@@ -245,7 +254,7 @@ def _cmd_homology(args):
     if args.max_degree < 0:
         raise ValueError("degree bound must be nonnegative")
     _within_reach("max-degree", args.max_degree, HOMOLOGY_DEGREE_LIMIT)
-    rows = list(enumerate(betti_numbers(args.max_degree, max_action)))
+    rows = list(enumerate(_engines.betti_numbers(args.max_degree, max_action)))
     return (("degree", "betti"), rows, EXIT_OK)
 
 
@@ -264,11 +273,11 @@ def _cmd_capacity(args):
         start = args.k if args.k is not None else 0
         if start < 0 or args.kmax < start:
             raise ValueError("need 0 <= k <= kmax")
-        results = capacity_series(args.kmax)[start:]
+        results = _engines.capacity_series(args.kmax)[start:]
     else:
         _within_reach("k", args.k, KMAX_LIMIT)
-        results = [capacity(args.k)]
-    rows = [(result.k, result.value, format_path(result.witness))
+        results = [_engines.capacity(args.k)]
+    rows = [(result.k, result.value, _engines.format_path(result.witness))
             for result in results]
     return (("k", "value", "witness"), rows, EXIT_OK)
 
@@ -277,26 +286,27 @@ def _cmd_weyl(args):
     if args.kmax < 1:
         raise ValueError("kmax must be >= 1")
     _within_reach("kmax", args.kmax, KMAX_LIMIT)
-    rows = weyl_series(args.kmax)
+    rows = _engines.weyl_series(args.kmax)
     return (("k", "value", "ratio"), rows, EXIT_OK)
 
 
 def _cmd_cap_toric(args):
-    domain = parse_domain(args.domain)
+    domain = _engines.parse_domain(args.domain)
     _within_reach("k", args.k, K_LIMIT)
     size = max(domain.support(1.0, 0.0), domain.support(0.0, 1.0))
     if args.k >= 1 and size < TORIC_SIZE_FLOOR:
         raise ValueError("domain %s is out of reach: its largest coordinate "
                          "%r is below %r, the least accepted"
                          % (domain.describe(), size, TORIC_SIZE_FLOOR))
-    value, witness = toric_capacity_detail(domain, args.k)
-    row = (domain.describe(), args.k, value, format_convex_generator(witness))
+    value, witness = _engines.toric_capacity_detail(domain, args.k)
+    row = (domain.describe(), args.k, value,
+           _engines.format_convex_generator(witness))
     return (("domain", "k", "value", "witness"), [row], EXIT_OK)
 
 
 def _cmd_gromov(args):
     _within_reach("kmax", args.kmax, GROMOV_KMAX_LIMIT)
-    report = gromov_upper(args.kmax)
+    report = _engines.gromov_upper(args.kmax)
     rows = [(record.k, record.generator_spec, record.rhs_action,
              record.min_lhs_action, record.witness_spec, record.bound,
              record.flat_candidate_bound, running)
@@ -306,12 +316,12 @@ def _cmd_gromov(args):
 
 
 def _cmd_obstruct(args):
-    domain = parse_domain(args.domain)
-    path = parse_path(args.lambda_prime)
-    _within_reach("items", pair_count(path) + len(path.groups),
+    domain = _engines.parse_domain(args.domain)
+    path = _engines.parse_path(args.lambda_prime)
+    _within_reach("items", _engines.pair_count(path) + len(path.groups),
                   OBSTRUCT_ITEMS_LIMIT)
-    result = embedding_obstructed(domain, path)
-    row = (domain.describe(), format_path(path), result)
+    result = _engines.embedding_obstructed(domain, path)
+    row = (domain.describe(), _engines.format_path(path), result)
     return (("domain", "generator", "obstructed"), [row], EXIT_OK)
 
 
@@ -336,6 +346,7 @@ _BLOCK = 1 << 16
 
 def _emit(output_format: str, command: str, columns, rows, out) -> None:
     if output_format == "json":
+        import json
         payload = {"schema": _SCHEMA, "command": command,
                    "columns": list(columns),
                    "rows": [dict(zip(columns, row)) for row in rows]}
@@ -343,6 +354,7 @@ def _emit(output_format: str, command: str, columns, rows, out) -> None:
         return
     buf = io.StringIO()
     if output_format == "csv":
+        import csv
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
 

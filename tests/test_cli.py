@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import sys
 import time
@@ -500,3 +501,11 @@ def test_removed_threads_and_cache_dir_flags_exit_usage(capsys):
             main(argv + ["validate", "0"])
         assert exc.value.code == EXIT_USAGE, argv
         assert argv[0] in capsys.readouterr().err, argv
+
+
+def test_engine_table_names_each_engine_in_its_module():
+    for name, module in kech.cli._ENGINES.items():
+        defining = importlib.import_module("kech." + module)
+        assert getattr(kech.cli, name) is getattr(defining, name), name
+    # a name outside the table is no attribute, so getattr's default holds
+    assert not hasattr(kech.cli, "betti")

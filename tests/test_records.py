@@ -75,6 +75,51 @@ def test_importing_kech_cli_leaves_indexes_unloaded():
     assert _child_stdout(code) == "False\n"
 
 
+def test_importing_kech_cli_loads_no_engine_json_or_csv():
+    code = ("import sys; before = set(sys.modules); import kech.cli; "
+            "new = set(sys.modules) - before; "
+            "print(sorted(m for m in new if m.split('.')[0] == 'kech'), "
+            "sorted({'json', 'csv'} & new))")
+    assert _child_stdout(code) == "['kech', 'kech.cli'] []\n"
+
+
+_COMMAND_RUN = """import contextlib, io, sys
+before = set(sys.modules)
+import kech.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = kech.cli.main(%r)
+new = set(sys.modules) - before
+print(code, sorted(m for m in new if m.startswith('kech.')),
+      sorted({'json', 'csv'} & new))
+"""
+
+
+#: Each command, on a tiny input, and the kech modules besides kech.cli it loads.
+_COMMAND_ENGINES = [
+    (["validate", "h(1,-1);h(1,1)"], ["paths"]),
+    (["grade", "H-;h(1,1)"], ["paths"]),
+    (["diff", "h(1,-1);h(1,1)"], ["paths", "diff"]),
+    (["enumerate", "--max-action", "3"], ["paths", "census"]),
+    (["d2check", "--max-action", "4"], ["paths", "census", "diff", "homology"]),
+    (["homology", "--max-action", "4", "--max-degree", "2"],
+     ["paths", "census", "diff", "homology"]),
+    (["capacity", "--kmax", "3"], ["paths", "census", "spectrum"]),
+    (["weyl", "--kmax", "3"], ["paths", "census", "spectrum"]),
+    (["cap-toric", "--domain", "ball:1", "--k", "2"], ["paths", "toric", "toric_dp"]),
+    (["gromov", "--kmax", "3"], ["paths", "toric", "toric_dp"]),
+    (["obstruct", "--domain", "ball:1.2", "--lambda-prime",
+      "H-;e(0,-1);e(1,0);e(0,1)^2"], ["paths", "toric", "toric_dp"]),
+]
+
+
+@pytest.mark.parametrize("argv, engines", _COMMAND_ENGINES,
+                         ids=[argv[0] for argv, _ in _COMMAND_ENGINES])
+def test_each_command_loads_only_its_engines(argv, engines):
+    # table output, so neither json nor csv is needed
+    expected = sorted(["kech.cli"] + ["kech." + name for name in engines])
+    assert _child_stdout(_COMMAND_RUN % argv) == "0 %s []\n" % expected
+
+
 def test_package_root_holds_only_the_version():
     # every public name is imported from its own module
     code = ("import kech; print(sorted(n for n in vars(kech) if not n.startswith('_')), "
