@@ -22,11 +22,12 @@ _ENGINES = {name: module for module, names in (
     ("census", "generators_up_to_action grading_slice"),
     ("diff", "differential"),
     ("homology", "betti_numbers d_squared_report"),
+    ("obstruction", "embedding_obstructed gromov_upper"),
     ("paths", "action format_path grading grading_lattice pair_count "
               "parse_path total_class validate"),
     ("spectrum", "capacity capacity_series weyl_series"),
-    ("toric", "embedding_obstructed format_convex_generator gromov_upper "
-              "parse_domain toric_capacity_detail"),
+    ("toric", "format_convex_generator parse_domain"),
+    ("toric_dp", "toric_capacity_detail"),
 ) for name in names.split()}
 
 

@@ -12,17 +12,29 @@ to a suffix (y, D_s) encloses D + D_s - 2 + 2xy doubled points.  The suffix
 sweep therefore bounds from below the action of every completion of a
 prefix state, and a depth-first search over class lists is replayed over
 only the states near the optimum, to pick the witness it would pick.
+
+``toric_capacity_detail`` gives c_k and its witness: it hands ``replay``
+the class pool and the seeds of ``kech.toric`` at grading 2k.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import inf
+
+from .toric import (
+    EMPTY_CONVEX,
+    INCUMBENT_GAP,
+    CgClass,
+    ConvexGenerator,
+    ToricDomain,
+    _pool_by_height,
+    _seed_action,
+    _seed_classes,
+)
 
 #: Margin above the optimum within which replay's first pass keeps every state.
 MARGIN = 1e-6
-
-#: A list becomes the searches' incumbent only when it is this much cheaper.
-INCUMBENT_GAP = 1e-12
 
 
 def sweep(moves, roof: int, bound: float, other=None):
@@ -250,3 +262,22 @@ def replay(moves, roof: int, seeds):
         if not near:
             break
     return best, found
+
+
+def toric_capacity_detail(domain: ToricDomain, k: int):
+    """Action-minimizing all-elliptic convex generator of grading 2k."""
+    if k < 0:
+        raise ValueError("capacity index must be nonnegative")
+    if k == 0:
+        return 0.0, EMPTY_CONVEX
+    i_target = 2 * k
+    seeds = [(c, _seed_action(domain, c)) for c in _seed_classes(i_target)]
+    # every class of the pool in the search's child order, read once by replay
+    moves = chain([(1, 0, domain.support(0.0, 1.0))],
+                  ((a, b, cost) for b, alist, costs, _, _ in _pool_by_height(domain, i_target)
+                   for a, cost in zip(alist, costs)),
+                  [(0, 1, domain.support(1.0, 0.0))])
+    value, classes = replay(moves, i_target + 2, seeds)
+    if classes is None:
+        raise AssertionError("toric capacity search lost its own seed family")
+    return value, ConvexGenerator(tuple(CgClass(a, b, t, False) for a, b, t in classes))

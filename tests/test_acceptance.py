@@ -26,7 +26,9 @@ from kech.paths import (
     parse_path,
 )
 from kech.spectrum import REFERENCE_CONTACT_VOLUME, capacity_series, weyl_series
-from kech.toric import ToricDomain, factorizations, gromov_upper, toric_capacity_detail
+from kech.obstruction import factorizations, gromov_upper
+from kech.toric import ToricDomain
+from kech.toric_dp import toric_capacity_detail
 
 _SERIES = {}
 

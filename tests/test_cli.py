@@ -9,8 +9,9 @@ import pytest
 import kech.census
 import kech.cli
 import kech.homology
+import kech.obstruction
 import kech.spectrum
-import kech.toric
+import kech.toric_dp
 from kech.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, KMAX_LIMIT, main
 from kech.paths import pair_count, parse_path
 
@@ -287,8 +288,8 @@ def test_out_of_reach_toric_k_fails_fast(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the toric search ran")
 
-    monkeypatch.setattr(kech.toric, "admissible_min_action", refuse)
-    monkeypatch.setattr(kech.toric, "replay", refuse)
+    monkeypatch.setattr(kech.obstruction, "admissible_min_action", refuse)
+    monkeypatch.setattr(kech.toric_dp, "replay", refuse)
     t0 = time.monotonic()
     code, out, err = run(capsys, "cap-toric", "--domain", "ball:1",
                          "--k", str(kech.cli.K_LIMIT + 1))
@@ -302,8 +303,8 @@ def test_toric_domain_below_the_floor_fails_fast(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the toric search ran")
 
-    monkeypatch.setattr(kech.toric, "admissible_min_action", refuse)
-    monkeypatch.setattr(kech.toric, "replay", refuse)
+    monkeypatch.setattr(kech.obstruction, "admissible_min_action", refuse)
+    monkeypatch.setattr(kech.toric_dp, "replay", refuse)
     # the bench-style quadrilateral scaled by 1e-5 takes 74 s at k = 2000
     for domain in ("polygon:0,0", "polygon:1.1e-5,0;0.7e-5,0.63e-5;0,1.05e-5"):
         t0 = time.monotonic()
@@ -335,8 +336,8 @@ def test_out_of_reach_gromov_kmax_fails_fast(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the gromov search ran")
 
-    monkeypatch.setattr(kech.toric, "_pool_by_height", refuse)
-    monkeypatch.setattr(kech.toric, "_admissible_search", refuse)
+    monkeypatch.setattr(kech.obstruction, "_pool_by_height", refuse)
+    monkeypatch.setattr(kech.obstruction, "_admissible_search", refuse)
     t0 = time.monotonic()
     code, out, err = run(capsys, "gromov", "--kmax",
                          str(kech.cli.GROMOV_KMAX_LIMIT + 1))
@@ -362,8 +363,8 @@ def test_out_of_reach_obstruct_items_fails_fast(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the obstruction search ran")
 
-    monkeypatch.setattr(kech.toric, "factorizations", refuse)
-    monkeypatch.setattr(kech.toric, "admissible_min_action", refuse)
+    monkeypatch.setattr(kech.obstruction, "factorizations", refuse)
+    monkeypatch.setattr(kech.obstruction, "admissible_min_action", refuse)
     limit = kech.cli.OBSTRUCT_ITEMS_LIMIT
     assert items(OBSTRUCT_PAST_LIMIT) == limit + 1
     t0 = time.monotonic()

@@ -12,15 +12,8 @@ from kech.census import ComplexSlice, generators_up_to_action
 from kech.indexes import CurveData
 from kech.paths import EMPTY_PATH, H1Class, parse_path
 from kech.spectrum import CapacityResult, capacity
-from kech.toric import (
-    CgClass,
-    ConvexGenerator,
-    GromovRecord,
-    GromovReport,
-    ToricDomain,
-    gromov_upper,
-    make_convex_generator,
-)
+from kech.obstruction import GromovRecord, GromovReport, gromov_upper
+from kech.toric import CgClass, ConvexGenerator, ToricDomain, make_convex_generator
 
 FIELDS = {
     ComplexSlice: ("action_bound", "per_degree"),
@@ -106,9 +99,9 @@ _COMMAND_ENGINES = [
     (["capacity", "--kmax", "3"], ["paths", "census", "spectrum"]),
     (["weyl", "--kmax", "3"], ["paths", "census", "spectrum"]),
     (["cap-toric", "--domain", "ball:1", "--k", "2"], ["paths", "toric", "toric_dp"]),
-    (["gromov", "--kmax", "3"], ["paths", "toric", "toric_dp"]),
+    (["gromov", "--kmax", "3"], ["obstruction", "paths", "toric"]),
     (["obstruct", "--domain", "ball:1.2", "--lambda-prime",
-      "H-;e(0,-1);e(1,0);e(0,1)^2"], ["paths", "toric", "toric_dp"]),
+      "H-;e(0,-1);e(1,0);e(0,1)^2"], ["obstruction", "paths", "toric"]),
 ]
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import kech.obstruction
 import kech.toric
 import kech.toric_dp
 from _naive import (
@@ -13,6 +14,13 @@ from _naive import (
     rasterize_convex_count,
 )
 from kech.census import generators_up_to_action
+from kech.obstruction import (
+    admissible_min_action,
+    embedding_obstructed,
+    factorizations,
+    gromov_upper,
+    leq_relation,
+)
 from kech.paths import (
     EdgeGroup,
     arrow_count,
@@ -29,21 +37,16 @@ from kech.toric import (
     CgClass,
     ConvexGenerator,
     ToricDomain,
-    admissible_min_action,
     cg_grading,
     cg_lattice_points,
     cg_x,
     cg_y,
-    embedding_obstructed,
-    factorizations,
     format_convex_generator,
-    gromov_upper,
-    leq_relation,
     make_convex_generator,
     parse_domain,
     support_action,
-    toric_capacity_detail,
 )
+from kech.toric_dp import toric_capacity_detail
 
 
 def ladder(k):
@@ -644,7 +647,7 @@ def test_flexible_search_witnesses_match_naive_search():
                 want = (want_value, want_witness and format_convex_generator(want_witness))
                 for value, witness in (
                         admissible_min_action(dom, i_target, xy_bound),
-                        kech.toric._admissible_search(wide_pool, dom, i_target, xy_bound)):
+                        kech.obstruction._admissible_search(wide_pool, dom, i_target, xy_bound)):
                     got = (value, witness and format_convex_generator(witness))
                     assert got == want, (dom.describe(), i_target, xy_bound)
 
@@ -694,6 +697,14 @@ def test_embedding_obstruction_threshold_tracks_bound():
     assert not embedding_obstructed(ToricDomain.ball(bound - 0.01), ladder(k))
 
 
+@pytest.mark.xfail(strict=True, reason="_action_fits forgives up to TOL above "
+                   "the block's action, so a ball just past 7/5 still fits")
+def test_embedding_obstruction_just_past_the_k_2_bound():
+    # the k = 2 ladder's bound is 7/5; ball:1.4000000005 answers true
+    assert embedding_obstructed(parse_domain("ball:1.4000000001"),
+                                parse_path("H-;e(0,-1)^2;e(1,0);e(0,1)^3"))
+
+
 SYMMETRIC_13 = ("e(0,-1);e(1,-3);e(1,-2);e(1,-1);e(2,-1);e(3,-1);e(1,0)^2;"
                 "e(3,1);e(2,1);e(1,1);e(1,2);e(1,3);e(0,1)")
 # answers of the search-per-block obstruction on the large factorization inputs
@@ -707,13 +718,13 @@ OBSTRUCTED = {
 
 def test_embedding_obstruction_searches_each_grading_and_bound_once(monkeypatch):
     asked = []
-    search = kech.toric.admissible_min_action
+    search = kech.obstruction.admissible_min_action
 
     def counted(domain, i_target, xy_bound):
         asked.append((i_target, xy_bound))
         return search(domain, i_target, xy_bound)
 
-    monkeypatch.setattr(kech.toric, "admissible_min_action", counted)
+    monkeypatch.setattr(kech.obstruction, "admissible_min_action", counted)
     for domain, answers in OBSTRUCTED.items():
         for spec, expect in zip(LARGE_FACTORIZATIONS, answers):
             asked.clear()
