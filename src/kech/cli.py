@@ -70,11 +70,12 @@ D2CHECK_ACTION_LIMIT = 14
 #: Largest degree bound the command line accepts for homology.  The slice
 #: is capped at grading max_degree + 1, so its scan stops at action
 #: max_degree + 3 (see kech.census) whatever the action bound.  At action
-#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 53 and 58 s and
-#: 2.2 GiB peak RSS at degree 45 in two child-process runs, against 65 s
-#: and 2.7 GiB at 46 (27 s and 729 MiB at 40, 4.8 s and 80 MiB at 30), its
-#: time growing about 1.2-fold and its memory 1.25-fold per degree.
-HOMOLOGY_DEGREE_LIMIT = 45
+#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 49 to 57 s and
+#: 154 MiB peak RSS at degree 46 in four child-process runs, against 61 s
+#: and 172 MiB at 47 (45 to 47 s and 139 MiB at 45, 23 s and 77 MiB at 40,
+#: 4.6 s and 30 MiB at 30), its time growing about 1.2-fold and its memory
+#: 1.1-fold per degree.
+HOMOLOGY_DEGREE_LIMIT = 46
 
 #: Largest index the command line accepts for capacity and weyl.
 #: capacity --kmax ends within a minute up to here on a 2-core Xeon with

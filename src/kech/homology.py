@@ -45,53 +45,63 @@ def d_squared_report(max_action: float):
     return violations
 
 
+def _filtration_order(sl, k: int):
+    """Grading k of the slice as (action, path) pairs in filtration order: a
+    stable sort by action of its spec order."""
+    return sorted(((action(path), path) for path in sl.generators(k)),
+                  key=lambda cell: cell[0])
+
+
 def barcode(max_degree: int, max_action: float):
     """Persistence bars (degree, birth, death) for degrees <= max_degree.
 
     Birth and death are actions; death is inf for a class that lives to
-    max_action.  One slice of gradings <= max_degree + 1 is reduced, with its
-    columns in filtration order (action, grading, spec).  The differential
-    strictly lowers action, so each boundary lies to the left of its column.
-    Columns are reduced by their lowest set bit, degree by degree from the
-    top, with clearing: a column that is already the pivot of a column one
-    degree up reduces to zero and is skipped.  Bars come in the filtration
-    order of their births.
+    max_action.  One slice of gradings <= max_degree + 1 is reduced, one
+    degree at a time from the top, each column numbered within its own
+    grading in filtration order (action, spec).  The differential lowers
+    grading by exactly 1 and strictly lowers action, so a degree-k column
+    has its bits in grading k - 1 only.  Columns are reduced by their lowest
+    set bit, with clearing: a column that is already the pivot of a column
+    one degree up reduces to zero and is skipped.  Bars come in the
+    filtration order (action, grading, spec) of their births.
     """
     if max_degree < 0:
         raise ValueError("grading must be nonnegative")
     sl = generators_up_to_action(max_action, max_grading=max_degree + 1)
-    # a stable sort by action of a slice already in (grading, spec) order
-    order = sorted(((action(path), k, path) for k in sl.degrees()
-                    for path in sl.generators(k)), key=lambda cell: cell[0])
-    index = {path: i for i, (_, _, path) in enumerate(order)}
     # one memo of move replacements; every path is validated again, which
     # costs less than looking it up in a growing memo
     splices = {}
-    reduced = {}  # lowest set bit -> the reduced column that owns it
-    killer = {}   # lowest set bit -> index of that column
-    # a stable sort: degrees from the top, filtration order within each
-    for j in sorted(range(len(order)), key=lambda j: -order[j][1]):
-        if j in reduced:
-            continue
-        path = order[j][2]
-        bits = 0
-        for term in differential(path, None, splices):
-            if term not in index:
-                raise AssertionError(
-                    "differential left the action slice: %s -> %s"
-                    % (format_path(path), format_path(term)))
-            bits |= 1 << index[term]
-        while bits:
-            low = bits.bit_length() - 1
-            if low not in reduced:
+    bars = []
+    cells = _filtration_order(sl, max_degree + 1)
+    killed = {}  # index in grading k -> action of the column that kills it
+    for k in range(max_degree + 1, -1, -1):
+        below = _filtration_order(sl, k - 1)
+        index = {path: i for i, (_, path) in enumerate(below)}
+        reduced = {}  # lowest set bit -> the reduced column that owns it
+        pivots = {}   # lowest set bit -> action of that column
+        for j, (birth, path) in enumerate(cells):
+            if j in killed:
+                bars.append((k, birth, killed[j]))
+                continue
+            bits = 0
+            for term in differential(path, None, splices):
+                if term not in index:
+                    raise AssertionError(
+                        "differential left the action slice: %s -> %s"
+                        % (format_path(path), format_path(term)))
+                bits |= 1 << index[term]
+            while bits and (low := bits.bit_length() - 1) in reduced:
+                bits ^= reduced[low]
+            if bits:
                 reduced[low] = bits
-                killer[low] = j
-                break
-            bits ^= reduced[low]
-    deaths = set(killer.values())
-    return [(k, birth, order[killer[i]][0] if i in killer else inf)
-            for i, (birth, k, _) in enumerate(order)
-            if k <= max_degree and i not in deaths]
+                pivots[low] = birth
+            else:
+                bars.append((k, birth, inf))
+        cells, killed = below, pivots
+    # each degree's bars are in filtration order already, so a stable sort by
+    # (birth, degree) puts them in (action, grading, spec) order
+    return sorted((bar for bar in bars if bar[0] <= max_degree),
+                  key=lambda bar: (bar[1], bar[0]))
 
 
 def betti_numbers(max_degree: int, max_action: float):

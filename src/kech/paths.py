@@ -75,8 +75,6 @@ class H1Class(NamedTuple):
         return f"({self.n},{self.a},{self.b})"
 
 
-ZERO_CLASS = H1Class(0, 0, 0)
-
 # Per-orbit classes.  Toric direction (q,p) maps to (2p, 0, q mod 2); the four
 # lone half-arrows and the two vertical full arrows have the fixed values below.
 _HALF_ARROW_CLASSES = {
@@ -276,20 +274,15 @@ def format_path(path: KLatticePath) -> str:
 # ---------------------------------------------------------------------------
 # Validation
 
-def total_class(obj) -> H1Class:
-    """Total first-homology class of a path or an iterable of orbit atoms."""
-    if isinstance(obj, KLatticePath):
-        # mult copies of direction_class(q, p)
-        total = H1Class(sum(2 * g.p * g.mult for g in obj.groups), 0,
-                        sum(g.q * g.mult for g in obj.groups) % 2)
-        if obj.start_pair:
-            total = total + PAIR_MINUS_CLASS
-        if obj.end_pair:
-            total = total + PAIR_PLUS_CLASS
-        return total
-    total = ZERO_CLASS
-    for atom in obj:
-        total = total + orbit_class(atom)
+def total_class(path: KLatticePath) -> H1Class:
+    """Total first-homology class of a path."""
+    # mult copies of direction_class(q, p)
+    total = H1Class(sum(2 * g.p * g.mult for g in path.groups), 0,
+                    sum(g.q * g.mult for g in path.groups) % 2)
+    if path.start_pair:
+        total = total + PAIR_MINUS_CLASS
+    if path.end_pair:
+        total = total + PAIR_PLUS_CLASS
     return total
 
 

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import pytest
 
 from _naive import BitMatrix, boundary_matrix, gf2_rank
+import kech.cli
 import kech.diff
 import kech.homology
 from kech.census import generators_up_to_action
@@ -13,7 +15,7 @@ from kech.homology import (
     d_squared_report,
     stabilized_betti,
 )
-from kech.paths import TOL
+from kech.paths import TOL, action
 from kech.spectrum import capacity_series
 
 
@@ -176,3 +178,53 @@ def test_capacities_are_births_of_even_degree_classes():
 
 def test_capacities_are_births_of_even_degree_classes_up_to_k_14():
     assert _truncated_capacity_births(29, 18.0, 14) == {8, 9}
+
+
+@pytest.mark.parametrize("max_degree, bound, count, digest", [
+    (8, 32.0, 161,
+     "498909997c614e021e533a7e92eaae364d00646c3163eb2b9f3e5ce9dfc8df9a"),
+    (21, 16.0, 3570,
+     "61a33e983be8fd667c7ccbff1461f0f89ac9b10d9827668ef3dfd31090bfe680"),
+])
+def test_barcode_digest(max_degree, bound, count, digest):
+    # births, deaths and the order of the bars, frozen
+    bars = barcode(max_degree, bound)
+    assert len(bars) == count
+    assert hashlib.sha256(repr(bars).encode()).hexdigest() == digest
+
+
+def _differential_with_stray_term(monkeypatch, path, stray):
+    real = kech.homology.differential
+
+    def stray_boundary(p, *args):
+        terms = real(p, *args)
+        return terms | {stray} if p == path else terms
+
+    monkeypatch.setattr(kech.homology, "differential", stray_boundary)
+
+
+def test_barcode_rejects_a_term_outside_the_slice(monkeypatch, capsys):
+    # a boundary term of grading 3 above the action bound 3.5, on a column
+    # of the top grading, which no clearing skips
+    path = generators_up_to_action(3.5).generators(4)[0]
+    stray = next(p for p in generators_up_to_action(8.0).generators(3)
+                 if action(p) > 3.5 + TOL)
+    _differential_with_stray_term(monkeypatch, path, stray)
+    with pytest.raises(AssertionError, match="left the action slice"):
+        barcode(3, 3.5)
+    code = kech.cli.main(["homology", "--max-action", "3.5",
+                          "--max-degree", "3"])
+    captured = capsys.readouterr()
+    assert code == kech.cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert "internal invariant violation" in captured.err
+
+
+def test_barcode_rejects_a_term_in_the_slice_of_the_wrong_grading(
+        monkeypatch):
+    # a boundary term in the slice, but of grading 3 rather than 2, on a
+    # column of the top grading, which no clearing skips
+    path, stray = generators_up_to_action(6.0).generators(3)[:2]
+    _differential_with_stray_term(monkeypatch, path, stray)
+    with pytest.raises(AssertionError, match="left the action slice"):
+        barcode(2, 6.0)
