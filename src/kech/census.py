@@ -40,7 +40,7 @@ from itertools import combinations
 from math import sqrt
 from typing import NamedTuple
 
-from .paths import TOL, EdgeGroup, KLatticePath, format_items
+from .paths import TOL, EdgeGroup, KLatticePath, format_items, group_length
 
 
 class ComplexSlice(NamedTuple):
@@ -179,20 +179,25 @@ def scan_generators(max_action: float, emit, max_grading=None):
     del rec, close
 
 
-def _collect(max_action: float, max_grading, only=None) -> ComplexSlice:
-    """Slice of the scanned generators, of grading `only` alone if given.
+def _collect(max_action: float, max_grading, only=None, actions=False) -> dict:
+    """Scanned generators as {grading: {spec: path}} in grading and spec
+    order, of grading `only` alone if given; with `actions`, each spec maps
+    to the path's action instead of the path.
 
-    Each distinct group value is built and formatted once per call and shared
-    by every path that holds it; a path's spec joins its groups' item texts.
+    Each distinct group value is built, formatted and measured once per call
+    and shared by every generator that holds it.  A spec joins its groups'
+    item texts; an action adds their lengths one by one in path order onto
+    the pair count, as paths.action does, so it is the same float.
     """
-    shared = {}  # (q, p, mult, h) -> (EdgeGroup, its item text)
+    shared = {}  # (q, p, mult, h) -> (EdgeGroup, its item text, its length)
 
     def entry(q, p, t, h):
         key = (q, p, t, h)
         found = shared.get(key)
         if found is None:
             group = EdgeGroup(q, p, t - 1, True) if h else EdgeGroup(q, p, t, False)
-            found = shared[key] = (group, ";".join(format_items((group,))))
+            found = shared[key] = (group, ";".join(format_items((group,))),
+                                   group_length(group))
         return found
 
     per_degree = {}
@@ -205,23 +210,42 @@ def _collect(max_action: float, max_grading, only=None) -> ComplexSlice:
             entries.insert(0, entry(0, -1, m, False))
         if n:
             entries.append(entry(0, 1, n, False))
-        groups, texts = zip(*entries) if entries else ((), ())
+        groups, texts, lengths = zip(*entries) if entries else ((), (), ())
         spec = ";".join(("H-",) * sp + texts + ("H+",) * ep) or "0"
-        per_degree.setdefault(deg, {})[spec] = KLatticePath(sp == 1, ep == 1, groups)
+        if actions:
+            value = float(sp + ep)
+            for length in lengths:
+                value += length
+        else:
+            value = KLatticePath(sp == 1, ep == 1, groups)
+        per_degree.setdefault(deg, {})[spec] = value
 
     scan_generators(max_action, emit, max_grading)
-    # rebuilt in spec order one degree at a time, so at most one degree is
-    # held twice
-    for k, paths in per_degree.items():
-        per_degree[k] = {spec: paths[spec] for spec in sorted(paths)}
-    return ComplexSlice(float(max_action), per_degree)
+    # rebuilt in grading and spec order one grading at a time, so at most
+    # one grading is held twice
+    in_order = {}
+    for k in sorted(per_degree):
+        values = per_degree.pop(k)
+        in_order[k] = {spec: values[spec] for spec in sorted(values)}
+    return in_order
 
 
 def generators_up_to_action(max_action: float, max_grading=None) -> ComplexSlice:
     """Complete canonical slice of the complex below an action bound."""
-    return _collect(max_action, max_grading)
+    return ComplexSlice(float(max_action), _collect(max_action, max_grading))
 
 
 def grading_slice(k: int, max_action: float) -> ComplexSlice:
     """The slice of one grading within the action bound, from the capped scan."""
-    return _collect(max_action, k, only=k)
+    return ComplexSlice(float(max_action), _collect(max_action, k, only=k))
+
+
+def spec_actions(max_action: float, grading=None) -> dict:
+    """{grading: {spec: action}} of the slice below an action bound, in
+    grading and spec order; of one grading alone, from the capped scan, if
+    given.
+
+    The same generators as generators_up_to_action or grading_slice, with
+    the action paths.action gives each, and no path kept.
+    """
+    return _collect(max_action, grading, only=grading, actions=True)

@@ -18,8 +18,11 @@ import sys
 #: below), so each command loads only the engines it calls.  Handlers read
 #: the names on _engines, the module object, so that a name set on kech.cli
 #: (a test's patch, the bench tracer's wrapper) is the one they call.
+#: generators_up_to_action is called by no handler since enumerate prints
+#: from spec_actions; it stays so that the tracer's wrapper and the
+#: out-of-reach test's patch of it still find it here.
 _ENGINES = {name: module for module, names in (
-    ("census", "generators_up_to_action grading_slice"),
+    ("census", "generators_up_to_action spec_actions"),
     ("diff", "differential"),
     ("homology", "betti_numbers d_squared_report"),
     ("obstruction", "embedding_obstructed gromov_upper"),
@@ -54,27 +57,40 @@ _SCHEMA = "kech/1"
 
 #: Largest action bound the command line accepts for enumerate.  The whole
 #: slice ends within a minute up to here on a 2-core Xeon with Python 3.11:
-#: as csv 34 s and 594 MiB peak RSS at 16 (14 s and 278 MiB at 15), as a
-#: table 36 s and 794 MiB at 16 (18 s and 372 MiB at 15, 7.2 s and 175 MiB
-#: at 14, 2.8 s and 85 MiB at 13), its time and memory growing about 2.2-fold
-#: per unit of action.
+#: as csv 15 s and 334 MiB peak RSS at 16 (7.8 s and 160 MiB at 15, 3.1 s
+#: and 79 MiB at 14), as a table 19 s and 474 MiB at 16 (9.1 s and 225 MiB
+#: at 15, 4.4 s and 108 MiB at 14, 2.2 s and 56 MiB at 13), its time and
+#: memory growing about 2.1-fold per unit of action.  At 17 it ends in 33
+#: to 45 s as csv and 45 to 47 s as a table, but the table takes 1 GiB and
+#: json holds every row as a dict (495 MiB at 15), so the limit stays here.
 ENUMERATE_ACTION_LIMIT = 16
+
+#: Largest grading for which enumerate --grading takes any action bound.
+#: Its capped scan stops at action grading + 2 (see kech.census), so up to
+#: grading 14 ENUMERATE_ACTION_LIMIT bounds it already.  At action 1e6 on a
+#: 2-core Xeon with Python 3.11, enumerate --grading ends in 49 to 50 s and
+#: 22 MiB peak RSS at 47 in two child-process runs, against 60 to 64 s at 48
+#: (45 to 48 s at 46, 33 s at 42, 11 s at 34), its time growing about
+#: 1.2-fold per grading.  Above this grading ENUMERATE_ACTION_LIMIT holds.
+ENUMERATE_GRADING_LIMIT = 47
 
 #: Largest action bound the command line accepts for d2check.
 #: d_squared_report ends within a minute up to here on a 2-core Xeon with
-#: Python 3.11: 26 s and 176 MiB peak RSS at 14 (9.3 s and 89 MiB at 13,
-#: 2.7 s and 47 MiB at 12), its time growing about 2.8-fold per unit of
+#: Python 3.11: 25 s and 146 MiB peak RSS at 14 (7.4 s and 74 MiB at 13,
+#: 2.1 s and 41 MiB at 12), its time growing about 3.4-fold per unit of
 #: action, so past a minute at 15 (not run).
 D2CHECK_ACTION_LIMIT = 14
 
 #: Largest degree bound the command line accepts for homology.  The slice
 #: is capped at grading max_degree + 1, so its scan stops at action
 #: max_degree + 3 (see kech.census) whatever the action bound.  At action
-#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 49 to 57 s and
-#: 154 MiB peak RSS at degree 46 in four child-process runs, against 61 s
-#: and 172 MiB at 47 (45 to 47 s and 139 MiB at 45, 23 s and 77 MiB at 40,
-#: 4.6 s and 30 MiB at 30), its time growing about 1.2-fold and its memory
-#: 1.1-fold per degree.
+#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 56 s and 140 MiB
+#: peak RSS at degree 46 in two child-process runs (23.5 to 26.5 s and
+#: 71 MiB at 40, 4.4 to 5.2 s and 28.5 MiB at 30, 2.1 to 2.8 s and 22 MiB
+#: at 26), its time growing about 1.2-fold and its memory 1.1-fold per
+#: degree; 47 took 61 s and 172 MiB when barcode still kept each grading
+#: to its end (154 MiB and 62 to 65 s at 46, alternating with the runs
+#: above).
 HOMOLOGY_DEGREE_LIMIT = 46
 
 #: Largest index the command line accepts for capacity and weyl.
@@ -231,14 +247,11 @@ def _action_bound(args) -> float:
 
 def _cmd_enumerate(args):
     max_action = _action_bound(args)
-    _within_reach("max-action", max_action, ENUMERATE_ACTION_LIMIT)
-    if args.grading is None:
-        sl = _engines.generators_up_to_action(max_action)
-    else:
-        sl = _engines.grading_slice(args.grading, max_action)
-    action = _engines.action
-    rows = ((spec, degree, action(path)) for degree in sl.degrees()
-            for spec, path in sl.per_degree[degree].items())
+    if args.grading is None or args.grading > ENUMERATE_GRADING_LIMIT:
+        _within_reach("max-action", max_action, ENUMERATE_ACTION_LIMIT)
+    actions = _engines.spec_actions(max_action, args.grading)
+    rows = ((spec, degree, value) for degree, specs in actions.items()
+            for spec, value in specs.items())
     return (("spec", "grading", "action"), rows, EXIT_OK)
 
 

@@ -39,8 +39,8 @@ def d_squared_report(max_action: float):
                     tuple(sorted(format_path(s) for s in survivors)),
                 ))
         # the differential lowers grading by exactly 1, so from grading k + 1
-        # on nothing reads the boundaries of grading k - 1 again
-        for path in sl.generators(k - 1):
+        # on nothing reads grading k - 1 or its boundaries again
+        for path in sl.per_degree.pop(k - 1, {}).values():
             memo.pop(path, None)
     return violations
 
@@ -97,6 +97,8 @@ def barcode(max_degree: int, max_action: float):
                 pivots[low] = birth
             else:
                 bars.append((k, birth, inf))
+        # grading k is done: no lower degree reads it
+        sl.per_degree.pop(k, None)
         cells, killed = below, pivots
     # each degree's bars are in filtration order already, so a stable sort by
     # (birth, degree) puts them in (action, grading, spec) order

@@ -418,9 +418,19 @@ def grading_lattice(path: KLatticePath) -> int:
     return 2 * (lattice - 1) - n_half - x_width(path) - h_count(path)
 
 
+def group_length(group: EdgeGroup) -> float:
+    """Euclidean length of a group: its multiplicity times |(q, p)|."""
+    return group.mult * math.hypot(group.q, group.p)
+
+
 def action(path: KLatticePath) -> float:
-    """Total euclidean edge length; each half-arrow pair contributes 1."""
+    """Total euclidean edge length; each half-arrow pair contributes 1.
+
+    The group lengths are added one by one in path order onto the pairs'
+    count; kech.census.spec_actions sums them the same way, so both give
+    the same float.
+    """
     total = float(pair_count(path))
     for g in path.groups:
-        total += g.mult * math.hypot(g.q, g.p)
+        total += group_length(g)
     return total

@@ -12,6 +12,7 @@ from kech.census import (
     generators_up_to_action,
     grading_slice,
     scan_generators,
+    spec_actions,
 )
 from kech.diff import differential
 from kech.paths import TOL, action, build_path, format_path, grading, h_count, parse_path
@@ -86,6 +87,33 @@ def test_slice_shares_groups_and_keeps_each_spec():
         one = grading_slice(k, 10.0)
         assert one.degrees() == [k]
         assert one.specs(k) == sl.specs(k) and one.generators(k) == sl.generators(k)
+
+
+def _path_actions(sl):
+    """{grading: {spec: paths.action(path)}} of a slice, in its own order."""
+    return {k: {spec: action(path) for spec, path in sl.per_degree[k].items()}
+            for k in sl.degrees()}
+
+
+def _assert_same_actions(got, expected):
+    # the same gradings in order, the same specs in order, and each action
+    # the same float (==, not approximately)
+    assert list(got) == list(expected)
+    for k in expected:
+        assert list(got[k].items()) == list(expected[k].items()), k
+
+
+def test_spec_actions_equal_path_actions_on_the_whole_slice():
+    expected = _path_actions(generators_up_to_action(9.0))
+    assert sum(len(v) for v in expected.values()) > 5000
+    _assert_same_actions(spec_actions(9.0), expected)
+
+
+@pytest.mark.parametrize("k", [0, 7, 20])
+def test_spec_actions_equal_path_actions_on_one_grading(k):
+    expected = _path_actions(grading_slice(k, 9.0))
+    assert list(expected) == [k]
+    _assert_same_actions(spec_actions(9.0, grading=k), expected)
 
 
 def test_scan_leaves_no_reference_cycle():

@@ -176,18 +176,18 @@ def test_rows_reach_the_stream_in_blocks(monkeypatch, output_format):
 
 
 def test_enumerate_grading_never_builds_an_uncapped_slice(capsys, monkeypatch):
-    capped = kech.census.generators_up_to_action
+    scan = kech.census.scan_generators
+    caps = []
 
-    def only_capped(max_action, max_grading=None):
-        if max_grading is None:
-            raise AssertionError("an uncapped slice was built")
-        return capped(max_action, max_grading)
+    def recording_scan(max_action, emit, max_grading=None):
+        caps.append(max_grading)
+        return scan(max_action, emit, max_grading)
 
-    monkeypatch.setattr(kech.census, "generators_up_to_action", only_capped)
-    monkeypatch.setattr(kech.cli, "generators_up_to_action", only_capped)
+    monkeypatch.setattr(kech.census, "scan_generators", recording_scan)
     code, out, _ = run(capsys, "--format", "csv", "enumerate", "--max-action",
                        str(kech.cli.ENUMERATE_ACTION_LIMIT), "--grading", "2")
     assert code == EXIT_OK
+    assert caps == [2]
     rows = out.splitlines()[1:]
     assert rows and all(",2," in row for row in rows)
 
@@ -422,6 +422,38 @@ def test_action_at_the_limit_is_accepted(capsys, monkeypatch):
     code, _, err = run(capsys, "d2check", "--max-action",
                        str(kech.cli.D2CHECK_ACTION_LIMIT))
     assert code == EXIT_OK and err == ""
+
+
+def test_out_of_reach_enumerate_grading_fails_fast(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the enumerate scan ran")
+
+    monkeypatch.setattr(kech.cli, "spec_actions", refuse)
+    action_limit = kech.cli.ENUMERATE_ACTION_LIMIT
+    limit = kech.cli.ENUMERATE_GRADING_LIMIT
+    for grading in ([], ["--grading", str(limit + 1)]):
+        for bound in ("1e6", str(action_limit + 0.5)):
+            t0 = time.monotonic()
+            code, out, err = run(capsys, "enumerate", "--max-action", bound,
+                                 *grading)
+            assert time.monotonic() - t0 < 1.0
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert "out of reach" in err and "max-action %d" % action_limit in err
+
+
+def test_enumerate_grading_at_the_limit_is_accepted(capsys, monkeypatch):
+    # within its grading limit, enumerate takes any action bound: the scan
+    # stops at action grading + 2
+    calls = []
+    monkeypatch.setattr(kech.cli, "spec_actions",
+                        lambda bound, grading: calls.append((bound, grading)) or {})
+    limit = kech.cli.ENUMERATE_GRADING_LIMIT
+    code, out, err = run(capsys, "--format", "csv", "enumerate",
+                         "--max-action", "1e6", "--grading", str(limit))
+    assert code == EXIT_OK and err == ""
+    assert out == "spec,grading,action\n"
+    assert calls == [(1e6, limit)]
 
 
 def test_out_of_reach_homology_degree_fails_fast(capsys, monkeypatch):
