@@ -48,7 +48,8 @@ class ComplexSlice(NamedTuple):
 
     per_degree[k] maps the spec (``format_path``) of each generator of
     grading k to the path, in spec order; specs(k) and generators(k) read
-    its keys and its paths in that order.
+    its keys and its paths in that order.  The chain-complex engines of
+    kech.homology pop each grading out of per_degree once they finish it.
     """
 
     action_bound: float

@@ -18,11 +18,8 @@ import sys
 #: below), so each command loads only the engines it calls.  Handlers read
 #: the names on _engines, the module object, so that a name set on kech.cli
 #: (a test's patch, the bench tracer's wrapper) is the one they call.
-#: generators_up_to_action is called by no handler since enumerate prints
-#: from spec_actions; it stays so that the tracer's wrapper and the
-#: out-of-reach test's patch of it still find it here.
 _ENGINES = {name: module for module, names in (
-    ("census", "generators_up_to_action spec_actions"),
+    ("census", "spec_actions"),
     ("diff", "differential"),
     ("homology", "betti_numbers d_squared_report"),
     ("obstruction", "embedding_obstructed gromov_upper"),
@@ -76,21 +73,19 @@ ENUMERATE_GRADING_LIMIT = 47
 
 #: Largest action bound the command line accepts for d2check.
 #: d_squared_report ends within a minute up to here on a 2-core Xeon with
-#: Python 3.11: 25 s and 146 MiB peak RSS at 14 (7.4 s and 74 MiB at 13,
-#: 2.1 s and 41 MiB at 12), its time growing about 3.4-fold per unit of
-#: action, so past a minute at 15 (not run).
+#: Python 3.11: 14 to 21 s and 141 MiB peak RSS at 14 (5.1 to 7.4 s and
+#: 71 MiB at 13, 2.1 to 3.3 s and 39 MiB at 12) in six child-process runs
+#: each, its time growing about 2.3- to 2.6-fold per unit of action.
 D2CHECK_ACTION_LIMIT = 14
 
 #: Largest degree bound the command line accepts for homology.  The slice
 #: is capped at grading max_degree + 1, so its scan stops at action
 #: max_degree + 3 (see kech.census) whatever the action bound.  At action
-#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 56 s and 140 MiB
-#: peak RSS at degree 46 in two child-process runs (23.5 to 26.5 s and
-#: 71 MiB at 40, 4.4 to 5.2 s and 28.5 MiB at 30, 2.1 to 2.8 s and 22 MiB
-#: at 26), its time growing about 1.2-fold and its memory 1.1-fold per
-#: degree; 47 took 61 s and 172 MiB when barcode still kept each grading
-#: to its end (154 MiB and 62 to 65 s at 46, alternating with the runs
-#: above).
+#: 1e6 on a 2-core Xeon with Python 3.11, homology takes 77 s and 142 MiB
+#: peak RSS at degree 46 in a child process on a shared host whose runs
+#: spread by a third (45 s and 74 MiB at 40, 8.1 s and 29 MiB at 30), and
+#: in process 53 to 57 s of scan and 4.9 to 5.5 s of barcode at 46.  Time
+#: grows about 1.2-fold and memory 1.1-fold per degree.
 HOMOLOGY_DEGREE_LIMIT = 46
 
 #: Largest index the command line accepts for capacity and weyl.

@@ -203,9 +203,8 @@ def differential(path: KLatticePath, checked=None, splices=None) -> Chain:
     The path and every term are validated.  checked, a dict a caller keeps
     across calls, has the paths already validated among its keys: they are
     not validated again, and the paths validated here join it with the
-    value None.  A caller's memo of boundaries can serve as checked.
-    splices, another dict a caller keeps across calls, holds the
-    replacements of every move under the groups it touches.
+    value None.  splices, another dict a caller keeps across calls, holds
+    the replacements of every move under the groups it touches.
     """
     checked = {} if checked is None else checked
     splices = {} if splices is None else splices

@@ -6,42 +6,50 @@ from math import inf
 
 from .census import generators_up_to_action
 from .diff import differential
-from .paths import TOL, action, format_path
+from .paths import TOL, action, format_path, validate
+
+
+def _column(path, index, checked, splices):
+    """The boundary of path as a bitset over index, which numbers the paths
+    of the grading below; checked and splices are differential's dicts."""
+    bits = 0
+    for term in differential(path, checked, splices):
+        i = index.get(term)
+        if i is None:  # outside the slice, or in another grading
+            raise AssertionError("differential left the action slice: %s -> %s"
+                                 % (format_path(path), format_path(term)))
+        bits |= 1 << i
+    return bits
 
 
 def d_squared_report(max_action: float):
     """Generators whose boundary fails to die under a second boundary.
 
-    Returns a list of (spec, surviving term specs) pairs; empty means the
-    differential squares to zero on the whole slice.
+    Returns (spec, surviving term specs) pairs in (grading, spec) order;
+    empty means the differential squares to zero on the whole slice.  Each
+    column squares to the XOR of the columns at its set bits.
     """
     sl = generators_up_to_action(max_action)
-    # path -> its boundary, or None while it is only known to be valid, so
-    # that differential validates each distinct path once per report; and
-    # one memo of move replacements for the whole report
-    memo, splices = {}, {}
-
-    def delta(path):
-        chain = memo.get(path)
-        if chain is None:
-            chain = memo[path] = differential(path, memo, splices)
-        return chain
-
+    checked, splices = {}, {}  # differential's dicts, for the whole report
     violations = []
-    for k in sl.degrees():
-        for path in sl.generators(k):
-            survivors = frozenset()
-            for term in delta(path):
-                survivors ^= delta(term)
-            if survivors:
-                violations.append((
-                    format_path(path),
-                    tuple(sorted(format_path(s) for s in survivors)),
-                ))
-        # the differential lowers grading by exactly 1, so from grading k + 1
-        # on nothing reads grading k - 1 or its boundaries again
-        for path in sl.per_degree.pop(k - 1, {}).values():
-            memo.pop(path, None)
+    index, below, specs = {}, [], ()  # grading k - 1's, and k - 2's specs
+    for k in range(max(sl.per_degree, default=-1) + 1):
+        columns = []  # as set bits: an int over n paths takes n / 8 bytes
+        for spec, path in sl.per_degree.get(k, {}).items():
+            bits, column, square = _column(path, index, checked, splices), [], set()
+            while bits:  # lowest set bit first
+                column.append((bits & -bits).bit_length() - 1)
+                square.symmetric_difference_update(below[column[-1]])
+                bits &= bits - 1
+            if square:
+                violations.append((spec, tuple(specs[i] for i in sorted(square))))
+            columns.append(tuple(column))
+        # grading k + 1 reads grading k, and grading k - 1 only for its specs
+        done = sl.per_degree.pop(k - 1, {})
+        for path in done.values():
+            checked.pop(path, None)
+        specs, below = tuple(done), columns
+        index = {path: i for i, path in enumerate(sl.generators(k))}
     return violations
 
 
@@ -68,28 +76,24 @@ def barcode(max_degree: int, max_action: float):
     if max_degree < 0:
         raise ValueError("grading must be nonnegative")
     sl = generators_up_to_action(max_action, max_grading=max_degree + 1)
-    # one memo of move replacements; every path is validated again, which
-    # costs less than looking it up in a growing memo
-    splices = {}
+    checked, splices = {}, {}  # differential's dicts, for the whole barcode
     bars = []
     cells = _filtration_order(sl, max_degree + 1)
     killed = {}  # index in grading k -> action of the column that kills it
     for k in range(max_degree + 1, -1, -1):
         below = _filtration_order(sl, k - 1)
         index = {path: i for i, (_, path) in enumerate(below)}
+        # validated here, so checked holds these paths, not copies of terms
+        for path in index:
+            validate(path)
+            checked[path] = None
         reduced = {}  # lowest set bit -> the reduced column that owns it
         pivots = {}   # lowest set bit -> action of that column
         for j, (birth, path) in enumerate(cells):
             if j in killed:
                 bars.append((k, birth, killed[j]))
                 continue
-            bits = 0
-            for term in differential(path, None, splices):
-                if term not in index:
-                    raise AssertionError(
-                        "differential left the action slice: %s -> %s"
-                        % (format_path(path), format_path(term)))
-                bits |= 1 << index[term]
+            bits = _column(path, index, checked, splices)
             while bits and (low := bits.bit_length() - 1) in reduced:
                 bits ^= reduced[low]
             if bits:
@@ -98,7 +102,8 @@ def barcode(max_degree: int, max_action: float):
             else:
                 bars.append((k, birth, inf))
         # grading k is done: no lower degree reads it
-        sl.per_degree.pop(k, None)
+        for path in sl.per_degree.pop(k, {}).values():
+            checked.pop(path, None)
         cells, killed = below, pivots
     # each degree's bars are in filtration order already, so a stable sort by
     # (birth, degree) puts them in (action, grading, spec) order

@@ -406,7 +406,7 @@ def test_out_of_reach_action_fails_fast(capsys, monkeypatch, command, limit):
     def refuse(*args):
         raise AssertionError("the %s scan ran" % command)
 
-    monkeypatch.setattr(kech.cli, "generators_up_to_action", refuse)
+    monkeypatch.setattr(kech.cli, "spec_actions", refuse)
     monkeypatch.setattr(kech.cli, "d_squared_report", refuse)
     for bound in ("1000", str(limit + 0.5)):
         t0 = time.monotonic()

@@ -8,14 +8,13 @@ import kech.cli
 import kech.diff
 import kech.homology
 from kech.census import generators_up_to_action
-from kech.diff import differential
 from kech.homology import (
     barcode,
     betti_numbers,
     d_squared_report,
     stabilized_betti,
 )
-from kech.paths import TOL, action
+from kech.paths import TOL, action, format_path
 from kech.spectrum import capacity_series
 
 
@@ -55,7 +54,12 @@ def test_d_squared_report_clean_small():
     assert d_squared_report(6.0) == []
 
 
-def test_d_squared_report_validates_each_path_once(monkeypatch):
+@pytest.mark.parametrize("walk, bound, max_grading", [
+    (lambda: d_squared_report(8.0), 8.0, None),
+    (lambda: barcode(8, 32.0), 32.0, 9),
+], ids=["d_squared_report", "barcode"])
+def test_each_walk_validates_each_path_once(monkeypatch, walk, bound,
+                                            max_grading):
     validated = []
     real = kech.diff.validate
 
@@ -63,14 +67,15 @@ def test_d_squared_report_validates_each_path_once(monkeypatch):
         validated.append(path)
         return real(path)
 
-    monkeypatch.setattr(kech.diff, "validate", counting)
-    assert d_squared_report(8.0) == []
+    for module in (kech.diff, kech.homology):
+        monkeypatch.setattr(module, "validate", counting)
+    walk()
     monkeypatch.undo()
-    seen = set(validated)
-    assert len(validated) == len(seen)
-    for path in generators_up_to_action(8.0).all_generators():
-        assert path in seen
-        assert all(term in seen for term in differential(path))
+    # each path of the walk's slice once, killed columns included, and
+    # nothing else
+    sl = generators_up_to_action(bound, max_grading=max_grading)
+    assert len(validated) == len(set(validated))
+    assert set(validated) == set(sl.all_generators())
 
 
 def test_d_squared_report_computes_each_boundary_once(monkeypatch):
@@ -228,3 +233,54 @@ def test_barcode_rejects_a_term_in_the_slice_of_the_wrong_grading(
     _differential_with_stray_term(monkeypatch, path, stray)
     with pytest.raises(AssertionError, match="left the action slice"):
         barcode(2, 6.0)
+
+
+def test_d_squared_report_squares_a_faulty_differential(monkeypatch):
+    # two spurious terms of the grading below on one path of each of the
+    # gradings 3 and 5; the report is the square taken term by term
+    sl = generators_up_to_action(7.0)
+    extra = {sl.generators(k)[0]: frozenset(sl.generators(k - 1)[:2])
+             for k in (3, 5)}
+    real = kech.homology.differential
+
+    def faulty(path, *args):
+        return real(path, *args) ^ extra.get(path, frozenset())
+
+    expected = []
+    for k in sl.degrees():
+        for path in sl.generators(k):
+            square = frozenset()
+            for term in faulty(path):
+                square ^= faulty(term)
+            if square:
+                expected.append((format_path(path),
+                                 tuple(sorted(map(format_path, square)))))
+    assert expected
+    monkeypatch.setattr(kech.homology, "differential", faulty)
+    assert d_squared_report(7.0) == expected
+
+
+_STRAYS = {
+    # a boundary term of grading 3 above the action bound 3.5 on a path of
+    # grading 4
+    "outside_the_slice": (3.5, lambda: (
+        generators_up_to_action(3.5).generators(4)[0],
+        next(p for p in generators_up_to_action(8.0).generators(3)
+             if action(p) > 3.5 + TOL))),
+    # a boundary term in the slice, but of grading 3 rather than 2
+    "of_the_wrong_grading": (
+        6.0, lambda: generators_up_to_action(6.0).generators(3)[:2]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STRAYS))
+def test_d_squared_report_rejects_a_stray_term(monkeypatch, capsys, kind):
+    bound, pick = _STRAYS[kind]
+    _differential_with_stray_term(monkeypatch, *pick())
+    with pytest.raises(AssertionError, match="left the action slice"):
+        d_squared_report(bound)
+    code = kech.cli.main(["d2check", "--max-action", str(bound)])
+    captured = capsys.readouterr()
+    assert code == kech.cli.EXIT_INTERNAL
+    assert captured.out == ""
+    assert "internal invariant violation" in captured.err
