@@ -73,9 +73,9 @@ ENUMERATE_GRADING_LIMIT = 47
 
 #: Largest action bound the command line accepts for d2check.
 #: d_squared_report ends within a minute up to here on a 2-core Xeon with
-#: Python 3.11: 14 to 21 s and 141 MiB peak RSS at 14 (5.1 to 7.4 s and
-#: 71 MiB at 13, 2.1 to 3.3 s and 39 MiB at 12) in six child-process runs
-#: each, its time growing about 2.3- to 2.6-fold per unit of action.
+#: Python 3.11: 13 to 16 s and 137 MiB peak RSS at 14 (4.5 to 7.0 s and
+#: 69 MiB at 13, 1.7 to 2.5 s and 38 MiB at 12) in six child-process runs
+#: each, its time growing about 2.6-fold per unit of action.
 D2CHECK_ACTION_LIMIT = 14
 
 #: Largest degree bound the command line accepts for homology.  The slice

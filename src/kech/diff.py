@@ -51,7 +51,9 @@ class Chain(frozenset):
     difference.
 
     Iteration visits the terms in no set order; ``terms()`` and ``str`` list
-    them sorted by spec.
+    them sorted by spec, each validated.  The terms are move outputs, which
+    ``differential`` does not validate, so an invalid one is a fault of the
+    moves, not of the input: listing it raises AssertionError.
     """
 
     __slots__ = ()
@@ -60,7 +62,14 @@ class Chain(frozenset):
         return Chain(self ^ other)
 
     def terms(self):
-        return sorted(self, key=format_path)
+        out = sorted(self, key=format_path)
+        for term in out:
+            try:
+                validate(term)
+            except ValueError as exc:
+                raise AssertionError("a move gave an invalid term: %s (%s)"
+                                     % (format_path(term), exc)) from exc
+        return out
 
     def __str__(self) -> str:
         if not self:
@@ -197,25 +206,17 @@ def d_op(path: KLatticePath) -> Chain:
     return Chain(_end_terms(path, True, {}, set()))
 
 
-def differential(path: KLatticePath, checked=None, splices=None) -> Chain:
+def differential(path: KLatticePath, splices=None) -> Chain:
     """Full boundary: interior rounding + corner move + wall move, mod 2.
 
-    The path and every term are validated.  checked, a dict a caller keeps
-    across calls, has the paths already validated among its keys: they are
-    not validated again, and the paths validated here join it with the
-    value None.  splices, another dict a caller keeps across calls, holds
-    the replacements of every move under the groups it touches.
+    The path is validated on every call; its terms are not, so a caller
+    that uses them checks them (``Chain.terms`` does).  splices, a dict a
+    caller keeps across calls, holds the replacements of every move under
+    the groups it touches.
     """
-    checked = {} if checked is None else checked
     splices = {} if splices is None else splices
-    if path not in checked:
-        validate(path)
-        checked[path] = None
+    validate(path)
     acc = _rounding_terms(path, splices, set())
     _end_terms(path, False, splices, acc)
     _end_terms(path, True, splices, acc)
-    for term in acc:
-        if term not in checked:
-            validate(term)
-            checked[term] = None
     return Chain(acc)

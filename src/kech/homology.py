@@ -9,11 +9,11 @@ from .diff import differential
 from .paths import TOL, action, format_path, validate
 
 
-def _column(path, index, checked, splices):
+def _column(path, index, splices):
     """The boundary of path as a bitset over index, which numbers the paths
-    of the grading below; checked and splices are differential's dicts."""
+    of the grading below; splices is differential's dict."""
     bits = 0
-    for term in differential(path, checked, splices):
+    for term in differential(path, splices):
         i = index.get(term)
         if i is None:  # outside the slice, or in another grading
             raise AssertionError("differential left the action slice: %s -> %s"
@@ -30,13 +30,13 @@ def d_squared_report(max_action: float):
     column squares to the XOR of the columns at its set bits.
     """
     sl = generators_up_to_action(max_action)
-    checked, splices = {}, {}  # differential's dicts, for the whole report
+    splices = {}  # differential's dict, for the whole report
     violations = []
     index, below, specs = {}, [], ()  # grading k - 1's, and k - 2's specs
     for k in range(max(sl.per_degree, default=-1) + 1):
         columns = []  # as set bits: an int over n paths takes n / 8 bytes
         for spec, path in sl.per_degree.get(k, {}).items():
-            bits, column, square = _column(path, index, checked, splices), [], set()
+            bits, column, square = _column(path, index, splices), [], set()
             while bits:  # lowest set bit first
                 column.append((bits & -bits).bit_length() - 1)
                 square.symmetric_difference_update(below[column[-1]])
@@ -46,8 +46,6 @@ def d_squared_report(max_action: float):
             columns.append(tuple(column))
         # grading k + 1 reads grading k, and grading k - 1 only for its specs
         done = sl.per_degree.pop(k - 1, {})
-        for path in done.values():
-            checked.pop(path, None)
         specs, below = tuple(done), columns
         index = {path: i for i, path in enumerate(sl.generators(k))}
     return violations
@@ -70,30 +68,29 @@ def barcode(max_degree: int, max_action: float):
     grading by exactly 1 and strictly lowers action, so a degree-k column
     has its bits in grading k - 1 only.  Columns are reduced by their lowest
     set bit, with clearing: a column that is already the pivot of a column
-    one degree up reduces to zero and is skipped.  Bars come in the
-    filtration order (action, grading, spec) of their births.
+    one degree up reduces to zero and is skipped.  Each slice path is
+    validated once: by its differential, or where clearing skips its column.
+    Bars come in the filtration order (action, grading, spec) of their
+    births.
     """
     if max_degree < 0:
         raise ValueError("grading must be nonnegative")
     sl = generators_up_to_action(max_action, max_grading=max_degree + 1)
-    checked, splices = {}, {}  # differential's dicts, for the whole barcode
+    splices = {}  # differential's dict, for the whole barcode
     bars = []
     cells = _filtration_order(sl, max_degree + 1)
     killed = {}  # index in grading k -> action of the column that kills it
     for k in range(max_degree + 1, -1, -1):
         below = _filtration_order(sl, k - 1)
         index = {path: i for i, (_, path) in enumerate(below)}
-        # validated here, so checked holds these paths, not copies of terms
-        for path in index:
-            validate(path)
-            checked[path] = None
         reduced = {}  # lowest set bit -> the reduced column that owns it
         pivots = {}   # lowest set bit -> action of that column
         for j, (birth, path) in enumerate(cells):
-            if j in killed:
+            if j in killed:  # cleared: differential does not validate it
+                validate(path)
                 bars.append((k, birth, killed[j]))
                 continue
-            bits = _column(path, index, checked, splices)
+            bits = _column(path, index, splices)
             while bits and (low := bits.bit_length() - 1) in reduced:
                 bits ^= reduced[low]
             if bits:
@@ -102,8 +99,7 @@ def barcode(max_degree: int, max_action: float):
             else:
                 bars.append((k, birth, inf))
         # grading k is done: no lower degree reads it
-        for path in sl.per_degree.pop(k, {}).values():
-            checked.pop(path, None)
+        sl.per_degree.pop(k, None)
         cells, killed = below, pivots
     # each degree's bars are in filtration order already, so a stable sort by
     # (birth, degree) puts them in (action, grading, spec) order

@@ -754,17 +754,16 @@ class BitMatrix(NamedTuple):
 def boundary_matrix(k, max_action):
     """Matrix of the differential from grading k to k-1 within the slice.
 
-    All columns share one set of validated paths and one memo of move
-    replacements.
+    All columns share one memo of move replacements.
     """
     sl = generators_up_to_action(max_action, max_grading=k)
     rows, cols = sl.generators(k - 1), sl.generators(k)
     index = {p: i for i, p in enumerate(rows)}
-    checked, splices = {}, {}
+    splices = {}
     columns = []
     for col in cols:
         bits = 0
-        for term in differential(col, checked, splices):
+        for term in differential(col, splices):
             if term not in index:
                 raise AssertionError(
                     "differential left the action slice: %s -> %s"

@@ -8,6 +8,7 @@ import pytest
 
 import kech.census
 import kech.cli
+import kech.diff
 import kech.homology
 import kech.obstruction
 import kech.spectrum
@@ -204,6 +205,26 @@ def test_d2check_violation_exits_internal(capsys, monkeypatch):
     code, out, _ = run(capsys, "d2check", "--max-action", "4")
     assert code == EXIT_INTERNAL
     assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("d2check", "--max-action", "6"),
+    ("homology", "--max-action", "6", "--max-degree", "3"),
+    ("diff", "h(1,-2);h(1,2)"),
+], ids=["d2check", "homology", "diff"])
+def test_an_invalid_boundary_term_exits_internal(capsys, monkeypatch, argv):
+    # a corner rounding that drops the last group of each multi-group
+    # replacement leaves a term that is not a valid generator
+    real = kech.diff._rounded
+
+    def truncated(before, after):
+        return tuple(r[:-1] if len(r) > 1 else r for r in real(before, after))
+
+    monkeypatch.setattr(kech.diff, "_rounded", truncated)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "internal invariant violation" in err
 
 
 def test_homology_rows(capsys):

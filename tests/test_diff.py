@@ -4,6 +4,7 @@ import math
 import pytest
 
 from _naive import naive_differential, naive_end_moves, naive_round_interior
+import kech.diff
 from kech.census import generators_up_to_action
 from kech.diff import Chain, c_op, d_op, differential, round_interior
 from kech.paths import (
@@ -160,9 +161,9 @@ def test_differential_digest_of_action_10_slice(action_10_slice):
 
 
 def test_differential_matches_naive_on_action_10_slice(action_10_slice):
-    checked, splices = {}, {}
+    splices = {}
     for p in action_10_slice:
-        assert set(differential(p, checked, splices)) == naive_differential(p), (
+        assert set(differential(p, splices)) == naive_differential(p), (
             format_path(p))
 
 
@@ -174,9 +175,25 @@ def test_component_moves_match_naive_on_action_8_slice():
 
 
 def test_fresh_and_reused_memos_give_equal_chains():
-    checked, splices = {}, {}
+    splices = {}
     for p in generators_up_to_action(8.0).all_generators():
-        assert differential(p, checked, splices) == differential(p), format_path(p)
+        assert differential(p, splices) == differential(p), format_path(p)
+
+
+def test_differential_validates_its_path_and_no_term(monkeypatch):
+    validated = []
+    real = kech.diff.validate
+
+    def counting(path):
+        validated.append(path)
+        return real(path)
+
+    monkeypatch.setattr(kech.diff, "validate", counting)
+    p = parse_path("h(1,-2);h(1,2)")
+    boundary = differential(p)
+    monkeypatch.undo()
+    assert len(boundary) >= 2
+    assert validated == [p]
 
 
 def test_end_move_leaving_one_region_point_yields_no_term():
@@ -221,11 +238,11 @@ def test_paths_sharing_a_corner_share_its_replacements():
     splices = {}
     first = parse_path("h(1,-1);h(1,1)")
     second = parse_path("e(0,-1);h(1,-1);h(1,1);e(0,1)")
-    differential(first, None, splices)
+    differential(first, splices)
     corner = (first.groups[0], first.groups[1])
     entry = splices[corner]
     assert entry == ((EdgeGroup(1, 0, 1, True),),)
-    boundary = differential(second, None, splices)
+    boundary = differential(second, splices)
     assert splices[corner] is entry
     assert parse_path("e(0,-1);h(1,0);e(1,0);e(0,1)") in boundary
     assert set(boundary) == naive_differential(second)
